@@ -19,7 +19,6 @@ from .algebra import (
     mat_exp,
     mat_log,
     matrix_algebra,
-    op_norm,
     scalar_complex,
     scalar_real,
 )

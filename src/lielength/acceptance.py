@@ -34,24 +34,24 @@ def _report(name, passed, detail, elapsed, limit=None):
     }
 
 
-def _random_unitary_context(k, rng):
-    """Unitary group of size k modeled as a 1x1 matrix over the k-by-k
-    matrix algebra, so the ambient norm is the operator norm."""
+def random_unitary(k, rng):
+    """Random element of the unitary group of size k, modeled as a 1x1
+    matrix over the k-by-k matrix algebra, so the ambient norm is the
+    operator norm."""
     alg = algebra.matrix_algebra(k)
     a = schatten.random_selfadjoint(k, rng, operator_norm=rng.uniform(0.3, math.pi))
-    lam, vecs = np.linalg.eigh(a)
-    u = (vecs * np.exp(1j * lam)) @ vecs.conj().T
+    u = algebra.exp_i_selfadjoint(*np.linalg.eigh(a))
     mat = algebra.MatrixOverAlgebra(alg, u[None, None, :, :])
     return algebra.GroupElement(mat, "U", validate=False)
 
 
-def _random_gl(n, rng, algebra_=None):
-    alg = algebra_ or algebra.scalar_complex()
+def random_gl(n, rng):
+    """Random invertible n-by-n complex matrix whose eigenvalues all have
+    modulus above 0.05."""
+    alg = algebra.scalar_complex()
     while True:
         x = algebra.MatrixOverAlgebra.random(alg, n, rng, scale=0.7)
-        flat = x.to_flat()
-        eig = np.linalg.eigvals(flat)
-        if np.min(np.abs(eig)) > 0.05:
+        if np.min(np.abs(np.linalg.eigvals(x.to_flat()))) > 0.05:
             return algebra.GroupElement(x, "GL", validate=False)
 
 
@@ -131,7 +131,7 @@ def criterion_3_el_estimator():
     bad_unitary = 0
     for idx in range(100):
         k = 2 + idx % 5
-        u = _random_unitary_context(k, rng)
+        u = random_unitary(k, rng)
         exact = explength.el_exact_unitary(u)
         bracket = explength.el_estimate(u, seed=idx)
         if not (exact - 1e-9 <= bracket.upper <= 1.05 * exact + 1e-6):
@@ -139,7 +139,7 @@ def criterion_3_el_estimator():
     quick = explength.EstimateBudget(optimize=False)
     bad_order = 0
     for idx in range(1000):
-        g = _random_gl(2 + idx % 3, rng)
+        g = random_gl(2 + idx % 3, rng)
         try:
             bracket = explength.el_estimate(g, budget=quick, seed=idx)
         except explength.NoFactorizationError:
@@ -191,7 +191,7 @@ def criterion_5_rel_vs_el():
     quick = explength.EstimateBudget(optimize=False)
     bad_pool = 0
     for idx in range(50):
-        g = _random_gl(2, rng)
+        g = random_gl(2, rng)
         upper = explength.el_estimate(g, budget=quick, seed=idx).upper
         rel = explength.rel_estimate(g, budget=quick, seed=idx)
         if rel > upper + 1e-9:
@@ -390,7 +390,7 @@ def criterion_10_hs_determinant():
     ctx = elementary.HSDeterminantContext(alg)
     worst_invariance = 0.0
     for idx in range(100):
-        g = _random_gl(2, rng)
+        g = random_gl(2, rng)
         cert_a = explength.FactorizationCertificate.from_factors(
             [algebra.mat_log(g)], g)
         cert_b = _split_certificate(g, rng)

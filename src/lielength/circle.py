@@ -56,11 +56,6 @@ class DiscretizedSpace:
     def components(self):
         return connected_components(self.vertices, self.edges)
 
-    @property
-    def n_components(self):
-        comps = self.components
-        return (max(comps) + 1) if comps else 0
-
 
 def circular_distance(s, t):
     """Distance of two phases on R/Z, in [0, 1/2]."""
@@ -82,9 +77,12 @@ class CircleFunction:
     phase: np.ndarray
 
     def __post_init__(self):
-        phase = np.asarray(self.phase, dtype=float) % 1.0
+        phase = np.asarray(self.phase, dtype=float)
         if phase.shape != (self.space.vertices,):
             raise ValueError("one phase per vertex required")
+        if not np.all(np.isfinite(phase)):
+            raise ValueError("phases must be finite")
+        phase = phase % 1.0
         object.__setattr__(self, "phase", phase)
         for u, v in self.space.edges:
             if circular_distance(phase[u], phase[v]) >= 0.5 - SAMPLING_GUARD:
@@ -135,19 +133,22 @@ class RealLift:
 
 
 def _spanning_forest(space):
-    """Deterministic BFS spanning forest: (tree_edges, nontree_edges),
-    tree edges oriented away from the smallest-index root per component."""
+    """Deterministic BFS spanning forest: (roots, tree_edges, nontree_edges),
+    one root per component, the smallest vertex in it, and tree edges
+    oriented away from it."""
     adjacency = [[] for _ in range(space.vertices)]
     for idx, (u, v) in enumerate(space.edges):
         adjacency[u].append((v, idx))
         adjacency[v].append((u, idx))
     visited = [False] * space.vertices
     in_tree = [False] * len(space.edges)
+    roots = []
     tree_edges = []
     for root in range(space.vertices):
         if visited[root]:
             continue
         visited[root] = True
+        roots.append(root)
         queue = [root]
         while queue:
             u = queue.pop(0)
@@ -158,39 +159,28 @@ def _spanning_forest(space):
                     tree_edges.append((u, v))
                     queue.append(v)
     nontree = [e for idx, e in enumerate(space.edges) if not in_tree[idx]]
-    return tree_edges, nontree
+    return roots, tree_edges, nontree
 
 
 def _tree_lift(f):
-    """Propagate nearest increments along the spanning forest.  Root value
-    is the root's phase in [0, 1)."""
-    space = f.space
-    tree_edges, nontree = _spanning_forest(space)
+    """Propagate nearest increments along the spanning forest, then read off
+    the cycle windings.  Root value is the root's phase in [0, 1).
+
+    Returns (lift, windings) where windings maps each non-tree edge to the
+    integer winding of its fundamental cycle.
+    """
+    roots, tree_edges, nontree = _spanning_forest(f.space)
     lift = np.array(f.phase, dtype=float)
     children = {}
     for u, v in tree_edges:
         children.setdefault(u, []).append(v)
-    comps = space.components
-    roots = {}
-    for v in range(space.vertices):
-        roots.setdefault(comps[v], v)
-    for root in roots.values():
+    for root in roots:
         stack = [root]
         while stack:
             u = stack.pop()
             for v in children.get(u, []):
                 lift[v] = lift[u] + nearest_increment(f.phase[u], f.phase[v])
                 stack.append(v)
-    return lift, nontree
-
-
-def identity_component_check(f):
-    """True iff every fundamental cycle has winding number 0.
-
-    Returns (ok, windings) where windings maps each non-tree edge to the
-    integer winding of its fundamental cycle.
-    """
-    lift, nontree = _tree_lift(f)
     windings = {}
     for u, v in nontree:
         w = lift[u] + nearest_increment(f.phase[u], f.phase[v]) - lift[v]
@@ -199,8 +189,17 @@ def identity_component_check(f):
             raise ArithmeticError(
                 f"winding of cycle through edge ({u},{v}) is not an integer")
         windings[(u, v)] = int(k)
-    ok = all(k == 0 for k in windings.values())
-    return ok, windings
+    return lift, windings
+
+
+def identity_component_check(f):
+    """True iff every fundamental cycle has winding number 0.
+
+    Returns (ok, windings) where windings maps each non-tree edge to the
+    integer winding of its fundamental cycle.
+    """
+    _, windings = _tree_lift(f)
+    return all(k == 0 for k in windings.values()), windings
 
 
 def unwrap(f):
@@ -209,12 +208,11 @@ def unwrap(f):
     Raises WindingError when some cycle winds, SamplingConditionError is
     raised earlier at construction of the input.
     """
-    ok, windings = identity_component_check(f)
-    if not ok:
-        bad = {e: k for e, k in windings.items() if k != 0}
+    lift, windings = _tree_lift(f)
+    bad = {e: k for e, k in windings.items() if k != 0}
+    if bad:
         raise WindingError(f"nonzero cycle windings {bad}: "
                            "not in the identity component")
-    lift, _ = _tree_lift(f)
     return RealLift(f.space, lift, f)
 
 
@@ -234,7 +232,7 @@ def quotient_norm(f):
     lift = unwrap(f).value
     comps = np.asarray(f.space.components)
     worst = 0.0
-    for c in range(f.space.n_components):
+    for c in np.unique(comps):
         vals = lift[comps == c]
         worst = max(worst, _component_offset_norm(float(vals.min()),
                                                   float(vals.max())))

@@ -60,20 +60,9 @@ def _build_group(spec, seed):
     complex matrix."""
     rng = np.random.default_rng(seed)
     if spec.startswith("u"):
-        k = int(spec[1:])
-        alg = algebra.matrix_algebra(k)
-        a = schatten.random_selfadjoint(k, rng, operator_norm=rng.uniform(0.3, math.pi))
-        lam, vecs = np.linalg.eigh(a)
-        u = (vecs * np.exp(1j * lam)) @ vecs.conj().T
-        mat = algebra.MatrixOverAlgebra(alg, u[None, None, :, :])
-        return algebra.GroupElement(mat, "U", validate=False)
+        return acceptance.random_unitary(int(spec[1:]), rng)
     if spec.startswith("gl"):
-        n = int(spec[2:])
-        alg = algebra.scalar_complex()
-        while True:
-            x = algebra.MatrixOverAlgebra.random(alg, n, rng, scale=0.7)
-            if np.min(np.abs(np.linalg.eigvals(x.to_flat()))) > 0.05:
-                return algebra.GroupElement(x, "GL", validate=False)
+        return acceptance.random_gl(int(spec[2:]), rng)
     raise SystemExit(f"unknown group spec {spec!r} (use u<k> or gl<n>)")
 
 

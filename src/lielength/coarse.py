@@ -33,6 +33,8 @@ class SampledSpace:
         n = len(self.ids)
         if self.dist.shape != (n, n):
             raise ValueError("distance table shape mismatch")
+        if not np.all(np.isfinite(self.dist)):
+            raise ValueError("distances must be finite")
         if self.origin not in self.ids:
             raise ValueError("origin must be one of the point ids")
         self._index = {p: k for k, p in enumerate(self.ids)}

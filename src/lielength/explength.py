@@ -51,10 +51,9 @@ class FactorizationCertificate:
     def from_factors(cls, factors, target, tol=1e-6):
         product = _product_of_exponentials(factors, target)
         residual = (product.matrix - target.matrix).op_norm()
-        sum_norms = float(sum(x.op_norm() for x in factors))
-        total = _sum_factors(factors, target)
-        return cls(list(factors), target, residual, sum_norms,
-                   total.op_norm(), tol=tol)
+        zero = MatrixOverAlgebra.zeros(target.algebra, target.n)
+        return cls(list(factors), target, residual, _sum_norms(factors),
+                   _norm_of_sum([zero] + list(factors)), tol=tol)
 
     def check_invariants(self):
         if self.residual > self.tol:
@@ -97,13 +96,6 @@ def _product_of_exponentials(factors, target):
     for x in factors:
         out = out @ mat_exp(x)
     return out
-
-
-def _sum_factors(factors, target):
-    total = MatrixOverAlgebra.zeros(target.algebra, target.n)
-    for x in factors:
-        total = total + x
-    return total
 
 
 @dataclass
@@ -320,20 +312,19 @@ def _refine_factors(factors, g, objective, budget, rng):
         improved = False
         # merge pass
         if len(best) > 1:
-            merged = _merge_pass(best, g, objective)
+            merged = _merge_pass(best, best_val, objective)
             if merged is not None:
-                val = objective(merged)
-                if val < best_val - 1e-12:
-                    best, best_val, improved = merged, val, True
+                best, best_val = merged
+                improved = True
         # re-split pass
         for i in range(len(best) - 1):
-            pair_product = mat_exp(best[i]).matrix @ mat_exp(best[i + 1]).matrix
+            first = mat_exp(best[i]).matrix
+            pair_product = first @ mat_exp(best[i + 1]).matrix
             for _ in range(budget.trials):
                 direction = _random_direction(g.algebra, g.n, rng, unitary)
                 if direction is None:
                     continue
-                mid = mat_exp(best[i]).matrix @ mat_exp(
-                    direction.scaled(step)).matrix
+                mid = first @ mat_exp(direction.scaled(step)).matrix
                 try:
                     x_new = _try_log(mid, "U" if unitary else "GL")
                     y_new = _try_log(mid.inverse() @ pair_product,
@@ -352,7 +343,10 @@ def _refine_factors(factors, g, objective, budget, rng):
     return best, best_val
 
 
-def _merge_pass(factors, g, objective):
+def _merge_pass(factors, value, objective):
+    """First merge of an adjacent pair that shortens the objective below
+    ``value`` (the objective of ``factors``), as (factors, objective value),
+    or None."""
     for i in range(len(factors) - 1):
         prod = mat_exp(factors[i]).matrix @ mat_exp(factors[i + 1]).matrix
         try:
@@ -360,8 +354,9 @@ def _merge_pass(factors, g, objective):
         except (SpectrumOnCutError, NumericFailureError):
             continue
         candidate = factors[:i] + [merged] + factors[i + 2:]
-        if objective(candidate) < objective(factors) - 1e-12:
-            return candidate
+        val = objective(candidate)
+        if val < value - 1e-12:
+            return candidate, val
     return None
 
 
@@ -430,21 +425,17 @@ def trotter_check(x, y, n):
     ex = mat_exp(x.scaled(1.0 / n)).matrix
     ey = mat_exp(y.scaled(1.0 / n)).matrix
     step = (ex @ ey).to_flat()
-    powered = np.linalg.matrix_power(step, n)
-    target = mat_exp(x + y).matrix.to_flat()
-    product_error = _flat_op_norm_diff(powered, target, algebra, size)
+    powered = MatrixOverAlgebra.from_flat(
+        algebra, size, np.linalg.matrix_power(step, n))
+    product_error = (powered - mat_exp(x + y).matrix).op_norm()
 
     word = (ex @ ey @ mat_exp(x.scaled(-1.0 / n)).matrix
             @ mat_exp(y.scaled(-1.0 / n)).matrix).to_flat()
-    powered2 = np.linalg.matrix_power(word, n * n)
+    powered2 = MatrixOverAlgebra.from_flat(
+        algebra, size, np.linalg.matrix_power(word, n * n))
     bracket = (x @ y) - (y @ x)
-    target2 = mat_exp(bracket).matrix.to_flat()
-    commutator_error = _flat_op_norm_diff(powered2, target2, algebra, size)
+    commutator_error = (powered2 - mat_exp(bracket).matrix).op_norm()
     return product_error, commutator_error
-
-
-def _flat_op_norm_diff(a, b, algebra, n):
-    return MatrixOverAlgebra.from_flat(algebra, n, a - b).op_norm()
 
 
 @dataclass

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+from .algebra import exp_i_selfadjoint, unitary_spectrum
 
 EXP_LIPSCHITZ_BOUND = math.e  # telescoping bound 1 + sum_k 1/(k-1)!
 
@@ -51,10 +52,6 @@ def p_norm(a, context):
     return float(np.sum(vertex_weights * s ** context.p) ** (1.0 / context.p))
 
 
-def weighted_trace(a, context):
-    return complex(np.sum(context.weights * np.diag(np.asarray(a))))
-
-
 @dataclass(frozen=True)
 class PUnitary:
     """A unitary in the p-Schatten unitary group of its context."""
@@ -83,12 +80,9 @@ class PUnitary:
         return PUnitary(self.context, self.matrix @ other.matrix)
 
     def principal_log_selfadjoint(self):
-        """The self-adjoint a with u = e^{ia} and |a|_inf <= pi (eigenvalue
-        angles in (-pi, pi], ties at -1 resolved to +pi)."""
-        t, z = scipy.linalg.schur(self.matrix, output="complex")
-        eig = np.diag(t)
-        theta = np.angle(eig)
-        theta = np.where(np.abs(eig + 1.0) <= 1e-12, np.pi, theta)
+        """The self-adjoint a with u = e^{ia} and |a|_inf <= pi, on the
+        principal branch of ``unitary_spectrum``."""
+        _, theta, z = unitary_spectrum(self.matrix)
         a = (z * theta) @ z.conj().T
         return 0.5 * (a + a.conj().T)
 
@@ -100,8 +94,7 @@ class PUnitary:
     def from_selfadjoint(cls, a, context):
         a = np.asarray(a, dtype=complex)
         lam, vecs = np.linalg.eigh(a)
-        u = (vecs * np.exp(1j * lam)) @ vecs.conj().T
-        return cls(context, u)
+        return cls(context, exp_i_selfadjoint(lam, vecs))
 
 
 def random_selfadjoint(dim, rng, operator_norm=math.pi):
@@ -167,7 +160,7 @@ def _subdivided_chain(u, k):
     lam, vecs = np.linalg.eigh(a)
     chain = [PUnitary.identity(u.context)]
     for j in range(1, k + 1):
-        m = (vecs * np.exp(1j * lam * (j / k))) @ vecs.conj().T
+        m = exp_i_selfadjoint(lam * (j / k), vecs)
         chain.append(PUnitary(u.context, m))
     return chain
 

@@ -161,6 +161,15 @@ def test_group_element_invariants():
         ll.GroupElement(singular, "GL")
 
 
+@pytest.mark.parametrize("tag", ["GL", "SL", "U"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_group_element_rejects_non_finite_entries(tag, bad):
+    mat = ll.MatrixOverAlgebra(ll.scalar_complex(),
+                               np.array([[1.0 + 0j, 0], [0, bad]]))
+    with pytest.raises(ValueError):
+        ll.GroupElement(mat, tag)
+
+
 def test_function_algebra_components():
     alg = ll.function_algebra(5, [(0, 1), (3, 4)])
     assert alg.components() == [0, 0, 1, 2, 2]

@@ -42,6 +42,12 @@ def test_sampling_violation_rejected():
         ll.CircleFunction(path_graph(2), [0.0, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ll.CircleFunction(path_graph(3), [0.0, bad, 0.2])
+
+
 # -- winding -----------------------------------------------------------------
 
 def test_tree_always_identity_component():

@@ -230,3 +230,10 @@ def test_sampled_space_rejects_triangle_violation():
     dist = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="triangle"):
         coarse.SampledSpace(["a", "b", "c"], dist, "a")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sampled_space_rejects_non_finite_distances(bad):
+    dist = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        coarse.SampledSpace(["a", "b"], dist, "a")

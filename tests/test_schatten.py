@@ -69,6 +69,30 @@ def test_sandwich_with_positive_weights():
 
 # -- chains --------------------------------------------------------------------
 
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_principal_branch_shared_with_mat_log(k):
+    """schatten and mat_log take the same branch, and an eigenvalue at -1
+    goes to +pi, not -pi."""
+    rng = np.random.default_rng(k)
+    ctx = ll.SchattenContext(k, 2)
+    alg = ll.matrix_algebra(k)
+    for trial in range(20):
+        m = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        q, _ = np.linalg.qr(m)
+        eig = np.exp(1j * rng.uniform(-math.pi, math.pi, size=k))
+        if trial % 2 == 0:
+            eig[0] = -1.0
+        u = (q * eig) @ q.conj().T
+        a = ll.PUnitary(ctx, u).principal_log_selfadjoint()
+        g = ll.GroupElement(ll.MatrixOverAlgebra(alg, u[None, None]), "U")
+        log = ll.mat_log(g).data[0, 0]
+        assert np.max(np.abs(log - 1j * a)) <= 1e-12
+        if trial % 2 == 0:
+            assert np.max(np.linalg.eigvalsh(a)) == pytest.approx(
+                math.pi, abs=1e-12)
+            assert np.min(np.linalg.eigvalsh(a)) > -math.pi + 1e-6
+
+
 def test_coarse_proper_chain_identity():
     ctx = ll.SchattenContext(2, 2)
     u = schatten.PUnitary.identity(ctx)
