@@ -119,14 +119,14 @@ class BanachAlgebra:
         return np.zeros(self.value_shape(), dtype=self.dtype)
 
     def norm(self, value):
-        """Norm of an element value: |.| for scalars, spectral norm for the
-        matrix algebra, sup over vertices for function samples."""
+        """Norm of a value, or of each value in a stack along the leading axes:
+        |.| for scalars, spectral norm for matrix(k), sup over vertices."""
         value = np.asarray(value)
-        if self.kind in (SCALAR_COMPLEX, SCALAR_REAL):
-            return float(abs(value))
         if self.kind == MATRIX:
-            return float(np.linalg.norm(value, 2))
-        return float(np.max(np.abs(value))) if value.size else 0.0
+            return np.linalg.norm(value, 2, axis=(-2, -1))
+        if self.kind == FUNCTIONS:
+            return np.abs(value).max(axis=-1)
+        return np.abs(value)
 
     def mul(self, a, b):
         if self.kind == MATRIX:
@@ -204,8 +204,7 @@ class MatrixOverAlgebra:
     @classmethod
     def identity(cls, algebra, n):
         data = np.zeros((n, n) + algebra.value_shape(), dtype=algebra.dtype)
-        for i in range(n):
-            data[i, i] = algebra.unit_value()
+        data[range(n), range(n)] = algebra.unit_value()
         return cls(algebra, data)
 
     @classmethod
@@ -221,16 +220,12 @@ class MatrixOverAlgebra:
 
     @classmethod
     def random(cls, algebra, n, rng, scale=1.0):
-        data = np.stack([
-            np.stack([np.asarray(algebra.random_value(rng, scale))
-                      for _ in range(n)], axis=0)
-            for _ in range(n)], axis=0)
-        return cls(algebra, data)
+        data = np.stack([algebra.random_value(rng, scale) for _ in range(n * n)])
+        return cls(algebra, data.reshape((n, n) + algebra.value_shape()))
 
     # -- entry access ------------------------------------------------------
     def entry_norms(self):
-        return np.array([[self.algebra.norm(self.data[i, j])
-                          for j in range(self.n)] for i in range(self.n)])
+        return self.algebra.norm(self.data)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -251,24 +246,12 @@ class MatrixOverAlgebra:
 
     def __matmul__(self, other):
         self._check_compatible(other)
-        kind = self.algebra.kind
-        if kind == MATRIX:
-            data = np.einsum("ikab,kjbc->ijac", self.data, other.data)
-        elif kind == FUNCTIONS:
-            data = np.einsum("ikv,kjv->ijv", self.data, other.data)
-        else:
-            data = self.data @ other.data
-        return MatrixOverAlgebra(self.algebra, data)
+        return MatrixOverAlgebra.from_flat(self.algebra, self.n,
+                                           self.to_flat() @ other.to_flat())
 
     def adjoint(self):
-        kind = self.algebra.kind
-        if kind == MATRIX:
-            data = self.data.conj().transpose(1, 0, 3, 2)
-        elif kind == FUNCTIONS:
-            data = self.data.conj().transpose(1, 0, 2)
-        else:
-            data = self.data.conj().T
-        return MatrixOverAlgebra(self.algebra, data)
+        flat = np.swapaxes(self.to_flat().conj(), -1, -2)
+        return MatrixOverAlgebra.from_flat(self.algebra, self.n, flat)
 
     def _check_compatible(self, other):
         if self.algebra != other.algebra or self.n != other.n:
@@ -289,8 +272,9 @@ class MatrixOverAlgebra:
     # -- flat (numeric) representation --------------------------------------
     def to_flat(self):
         """Represent the matrix as a stack of plain square matrices on which
-        exp/log/inv act: shape (n, n) for scalars, (nk, nk) for matrix(k),
-        (V, n, n) for function algebras."""
+        every product, adjoint, exp/log, inverse and det acts: shape (n, n)
+        for scalars, (nk, nk) for matrix(k), (V, n, n) for function algebras.
+        With ``from_flat``, the one home of the per-kind layout."""
         kind = self.algebra.kind
         if kind == MATRIX:
             k = self.algebra.k
@@ -319,13 +303,8 @@ class MatrixOverAlgebra:
         AlgebraElement."""
         if not self.algebra.is_commutative:
             raise ValueError("determinant requires a commutative algebra")
-        kind = self.algebra.kind
-        if kind == FUNCTIONS:
-            return AlgebraElement(self.algebra, np.linalg.det(self.to_flat()))
-        if kind == MATRIX:  # k == 1 commutative case
-            return AlgebraElement(self.algebra,
-                                  np.linalg.det(self.data[:, :, 0, 0]).reshape(1, 1))
-        return AlgebraElement(self.algebra, np.linalg.det(self.data))
+        det = np.linalg.det(self.to_flat()).reshape(self.algebra.value_shape())
+        return AlgebraElement(self.algebra, det)
 
     def trace_sum(self):
         """Sum of the diagonal entries, as an AlgebraElement."""
@@ -417,16 +396,11 @@ class GroupElement:
 # exponential and principal logarithm
 
 
-def _expm_stack(flat):
-    out = scipy.linalg.expm(flat)
-    if not np.all(np.isfinite(out)):
-        raise NumericFailureError("matrix exponential did not converge")
-    return out
-
-
 def mat_exp(x, group_tag="GL", tol=DEFAULT_TOL):
     """exp(X) as a group element.  Verifies |exp(X)| <= e^{|X|}."""
-    flat = _expm_stack(x.to_flat())
+    flat = scipy.linalg.expm(x.to_flat())
+    if not np.all(np.isfinite(flat)):
+        raise NumericFailureError("matrix exponential did not converge")
     mat = MatrixOverAlgebra.from_flat(x.algebra, x.n, flat)
     bound = np.exp(min(x.op_norm(), 700.0))
     if mat.op_norm() > bound * (1.0 + 1e-9) + 1e-12:
@@ -491,11 +465,9 @@ def mat_log(g, tol=DEFAULT_TOL):
     mat = g.matrix
     unitary = g.group_tag in ("U", "Up") or g.is_unitary(tol)
     flat = mat.to_flat()
-    if flat.ndim == 3:
-        logs = np.stack([_principal_log_square(flat[v], unitary, tol)
-                         for v in range(flat.shape[0])])
-    else:
-        logs = _principal_log_square(flat, unitary, tol)
+    squares = flat.reshape((-1,) + flat.shape[-2:])
+    logs = np.stack([_principal_log_square(m, unitary, tol)
+                     for m in squares]).reshape(flat.shape)
     if mat.algebra.kind == SCALAR_REAL:
         if np.max(np.abs(np.imag(logs))) > 1e-9:
             raise SpectrumOnCutError(
@@ -522,7 +494,11 @@ def _value_to_json(value):
 
 def _value_from_json(obj, algebra):
     arr = np.asarray(obj, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("values must be finite")
     if algebra.dtype == np.complex128:
+        if arr.shape[-1:] != (2,):
+            raise ValueError("complex values must be [real, imag] pairs")
         return arr[..., 0] + 1j * arr[..., 1]
     return arr
 
@@ -550,19 +526,16 @@ def matrix_to_json(x):
     return {
         "algebra": algebra_to_json(x.algebra),
         "n": x.n,
-        "entries": [[_value_to_json(x.data[i, j]) for j in range(x.n)]
-                    for i in range(x.n)],
+        "entries": _value_to_json(x.data),
     }
 
 
 def matrix_from_json(doc):
     algebra = algebra_from_json(doc["algebra"])
-    n = doc["n"]
-    data = np.zeros((n, n) + algebra.value_shape(), dtype=algebra.dtype)
-    for i in range(n):
-        for j in range(n):
-            data[i, j] = _value_from_json(doc["entries"][i][j], algebra)
-    return MatrixOverAlgebra(algebra, data)
+    x = MatrixOverAlgebra(algebra, _value_from_json(doc["entries"], algebra))
+    if x.n != doc["n"]:
+        raise ValueError(f"entries are {x.n}x{x.n} but n is {doc['n']}")
+    return x
 
 
 def group_to_json(g):

@@ -54,11 +54,19 @@ def _flatten(doc, prefix=""):
     return out
 
 
-def _build_group(spec, seed):
-    """Named sample elements: u<k> is a random element of the unitary group
-    of size k (operator norm model), gl<n> a random invertible n-by-n
-    complex matrix."""
-    rng = np.random.default_rng(seed)
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _build_group(args):
+    """The element read from ``--input``, else the named sample ``--group``:
+    u<k> is a random element of the unitary group of size k (operator norm
+    model), gl<n> a random invertible n-by-n complex matrix."""
+    if args.input:
+        return algebra.group_from_json(_read_json(args.input))
+    spec = args.group
+    rng = np.random.default_rng(args.seed)
     if spec.startswith("u"):
         return acceptance.random_unitary(int(spec[1:]), rng)
     if spec.startswith("gl"):
@@ -67,8 +75,7 @@ def _build_group(spec, seed):
 
 
 def _cmd_el(args):
-    g = (algebra.group_from_json(json.load(open(args.input)))
-         if args.input else _build_group(args.group, args.seed))
+    g = _build_group(args)
     budget = explength.EstimateBudget(optimize=not args.no_optimize)
     bracket = explength.el_estimate(g, budget=budget, seed=args.seed)
     doc = {"command": f"el {args.action}", "group": args.group or args.input,
@@ -81,8 +88,7 @@ def _cmd_el(args):
 
 
 def _cmd_rel(args):
-    g = (algebra.group_from_json(json.load(open(args.input)))
-         if args.input else _build_group(args.group, args.seed))
+    g = _build_group(args)
     budget = explength.EstimateBudget(optimize=not args.no_optimize)
     value = explength.rel_estimate(g, budget=budget, seed=args.seed)
     upper = explength.el_estimate(g, budget=budget, seed=args.seed).upper
@@ -117,7 +123,7 @@ def _cmd_trotter(args):
 
 
 def _cmd_cel(args):
-    f = circle.CircleFunction.from_json(json.load(open(args.input)))
+    f = circle.CircleFunction.from_json(_read_json(args.input))
     ok, windings = circle.identity_component_check(f)
     doc = {"command": "cel compute", "input": args.input,
            "identity_component": ok,
@@ -198,7 +204,7 @@ def _cmd_en(args):
         _write_result(doc, args.out, args.format)
         return 0 if worst <= 1e-12 else 1
     if args.action == "decompose":
-        x = algebra.matrix_from_json(json.load(open(args.input)))
+        x = algebra.matrix_from_json(_read_json(args.input))
         ctx = elementary.HSDeterminantContext(x.algebra)
         decomp = elementary.traceless_decompose(x, ctx)
         residual = (decomp.rebuild() - x).op_norm()
@@ -210,7 +216,7 @@ def _cmd_en(args):
         return 0 if residual <= 1e-10 else 1
     if args.action == "hsdet":
         if args.input:
-            word = elementary.word_from_json(json.load(open(args.input)))
+            word = elementary.word_from_json(_read_json(args.input))
             ctx = elementary.HSDeterminantContext(word[0].payload.algebra)
         else:
             alg = algebra.scalar_complex()
@@ -239,7 +245,7 @@ def _cmd_en(args):
 
 
 def _cmd_coarse(args):
-    doc_in = json.load(open(args.input))
+    doc_in = _read_json(args.input)
     domain = coarse.SampledSpace(doc_in["domain"]["ids"],
                                  np.asarray(doc_in["domain"]["dist"]),
                                  doc_in["domain"]["origin"])

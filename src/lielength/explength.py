@@ -202,10 +202,7 @@ def _rotated_log_certificate(g):
     algebra)."""
     if g.algebra.dtype == np.float64:
         raise SpectrumOnCutError("rotated branch needs complex scalars")
-    flat = g.matrix.to_flat()
-    stack = flat if flat.ndim == 3 else flat[None]
-    args = np.sort(np.concatenate(
-        [np.angle(np.linalg.eigvals(stack[v])) for v in range(len(stack))]))
+    args = np.sort(np.angle(np.linalg.eigvals(g.matrix.to_flat())).ravel())
     gaps = np.diff(np.concatenate([args, [args[0] + 2 * math.pi]]))
     widest = int(np.argmax(gaps))
     if gaps[widest] < 1e-6:
@@ -222,19 +219,9 @@ def _polar_certificate(g):
     """Two-factor certificate from the polar decomposition g = W P with W
     unitary and P positive definite: both factors always admit a principal
     log over the complex scalars."""
-    flat = g.matrix.to_flat()
-
-    def polar_pair(m):
-        u, s, vh = np.linalg.svd(m)
-        return u @ vh, (vh.conj().T * s) @ vh
-
-    if flat.ndim == 3:
-        pairs = [polar_pair(flat[v]) for v in range(flat.shape[0])]
-        w_flat = np.stack([p[0] for p in pairs])
-        p_flat = np.stack([p[1] for p in pairs])
-    else:
-        w_flat, p_flat = polar_pair(flat)
-    w = MatrixOverAlgebra.from_flat(g.algebra, g.n, w_flat)
+    u, s, vh = np.linalg.svd(g.matrix.to_flat())
+    p_flat = (np.swapaxes(vh.conj(), -1, -2) * s[..., None, :]) @ vh
+    w = MatrixOverAlgebra.from_flat(g.algebra, g.n, u @ vh)
     p = MatrixOverAlgebra.from_flat(g.algebra, g.n, p_flat)
     return [_try_log(w, "U"), _try_log(p, "GL")]
 

@@ -1,5 +1,6 @@
 """Banach algebra kinds, the two matrix norms, and the exp/log calculus."""
 
+import itertools
 import math
 
 import numpy as np
@@ -187,3 +188,72 @@ def test_json_round_trip(alg):
     back_g = algebra.group_from_json(doc)
     assert (back_g.matrix - g.matrix).op_norm() <= 1e-15
     assert back_g.group_tag == g.group_tag
+
+
+def _bad_entries(alg, edit):
+    doc = algebra.matrix_to_json(ll.MatrixOverAlgebra.identity(alg, 2))
+    edit(doc)
+    return doc
+
+
+# Entries that must not be broadcast, truncated or accepted as they are.
+MALFORMED = {
+    "scalar-entry-over-matrix": (
+        ll.matrix_algebra(2),
+        lambda doc: doc["entries"][0].__setitem__(1, [1.0, 0.0])),
+    "one-value-function": (
+        ll.function_algebra(3),
+        lambda doc: doc["entries"][0].__setitem__(0, [[1.0, 0.0]])),
+    "extra-row": (
+        ll.scalar_complex(),
+        lambda doc: doc["entries"].append(doc["entries"][0])),
+    "missing-row": (
+        ll.scalar_complex(),
+        lambda doc: doc["entries"].pop()),
+    "n-mismatch": (
+        ll.scalar_complex(),
+        lambda doc: doc.__setitem__("n", 3)),
+    "non-finite": (
+        ll.scalar_complex(),
+        lambda doc: doc["entries"][0].__setitem__(0, [math.nan, 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_matrix_from_json_rejects_malformed_entries(case):
+    alg, edit = MALFORMED[case]
+    with pytest.raises(ValueError):
+        algebra.matrix_from_json(_bad_entries(alg, edit))
+
+
+# Entrywise definitions on .data: the algebra product is a matrix product
+# for matrix(k) and a pointwise product (trailing axes) otherwise.
+PRODUCT = {algebra.MATRIX: "ikab,kjbc->ijac"}
+ADJOINT = {algebra.MATRIX: "jiba->ijab"}
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.kind)
+def test_flat_path_matches_entrywise_definitions(alg):
+    rng = np.random.default_rng(5)
+    n = 3
+    x = ll.MatrixOverAlgebra.random(alg, n, rng)
+    y = ll.MatrixOverAlgebra.random(alg, n, rng)
+    product = np.einsum(PRODUCT.get(alg.kind, "ik...,kj...->ij..."),
+                        x.data, y.data)
+    assert np.max(np.abs((x @ y).data - product)) <= 1e-13
+    adjoint = np.einsum(ADJOINT.get(alg.kind, "ji...->ij..."), x.data.conj())
+    assert np.max(np.abs(x.adjoint().data - adjoint)) <= 1e-13
+    if alg.is_commutative:
+        eps = np.zeros((3, 3, 3))  # Levi-Civita symbol
+        for a, b, c in itertools.permutations(range(3)):
+            eps[a, b, c] = (b - a) * (c - a) * (c - b) / 2
+        det = np.einsum("abc,a...,b...,c...->...", eps, *x.data)
+        assert np.max(np.abs(x.det().value - det)) <= 1e-13
+    else:
+        with pytest.raises(ValueError):
+            x.det()
+    stack = np.stack([alg.random_value(rng) for _ in range(6)])
+    stack = stack.reshape((2, 3) + alg.value_shape())
+    per_value = [[alg.norm(v) for v in row] for row in stack]
+    assert np.array_equal(alg.norm(stack), per_value)
+    assert x.entry_norms().shape == (n, n)

@@ -1,7 +1,9 @@
 """End-to-end runs of the experiment CLI: artifacts, determinism, exit codes."""
 
+import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,3 +170,16 @@ def test_el_estimate_from_group_json(tmp_path):
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         run(["suite", "nonsense"])
+
+
+def test_input_files_are_closed(tmp_path, capsys):
+    f = ll.CircleFunction(ll.DiscretizedSpace(2, [(0, 1)]),
+                          np.array([0.0, 0.25]))
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["cel", "compute", "--input", str(path)]) == 0
+        gc.collect()
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
