@@ -44,25 +44,55 @@ class NumericFailureError(RuntimeError):
     tolerance (non-convergence or ill conditioning)."""
 
 
-def connected_components(n_vertices, edges):
-    """Connected-component labels of an undirected graph, as a list mapping
-    vertex -> component index.  Components are numbered by smallest vertex."""
-    parent = list(range(n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def graph_edges(vertices, edges):
+    """The edges of a graph on ``vertices`` vertices as a tuple of int pairs.
+    ValueError on fewer than one vertex or a non-integer or out-of-range
+    endpoint: a float endpoint is never truncated to a vertex."""
+    if not (isinstance(vertices, (int, np.integer)) and vertices >= 1):
+        raise ValueError(f"a graph needs at least one vertex, not {vertices!r}")
+    edges = tuple(edges)
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    roots = [find(v) for v in range(n_vertices)]
-    order = sorted(set(roots))
-    index = {r: i for i, r in enumerate(order)}
-    return [index[r] for r in roots]
+        if not all(isinstance(x, (int, np.integer)) for x in (u, v)):
+            raise ValueError(f"edge ({u},{v}) has a non-integer endpoint")
+        if not (0 <= u < vertices and 0 <= v < vertices):
+            raise ValueError(f"edge ({u},{v}) out of range")
+    return tuple((int(u), int(v)) for u, v in edges)
+
+
+def spanning_forest(n_vertices, edges):
+    """One breadth-first traversal of an undirected graph: (labels, tree_edges,
+    nontree_edges).  Components are rooted at their smallest vertex and
+    labelled in that order; neighbours are visited in (vertex, edge index)
+    order; tree edges point away from the root, in visiting order; the other
+    edges keep their order and orientation.  Edges are (-1, 2) int arrays."""
+    ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    tail, head = np.concatenate([ends, ends[:, ::-1]]).T
+    index = np.tile(np.arange(len(ends)), 2)
+    order = np.lexsort((index, head, tail))
+    start = np.searchsorted(tail[order], np.arange(n_vertices + 1)).tolist()
+    head, index = head[order].tolist(), index[order].tolist()
+    root_of = [-1] * n_vertices
+    in_tree = np.zeros(len(ends), dtype=bool)
+    tree = []
+    for root in range(n_vertices):
+        if root_of[root] < 0:
+            root_of[root] = root
+            queue = [root]
+            for u in queue:  # the loop also reaches the vertices appended below
+                for k in range(start[u], start[u + 1]):
+                    v = head[k]
+                    if root_of[v] < 0:
+                        root_of[v] = root
+                        in_tree[index[k]] = True
+                        tree.append((u, v))
+                        queue.append(v)
+    labels = np.unique(root_of, return_inverse=True)[1]
+    return labels, np.array(tree, dtype=np.intp).reshape(-1, 2), ends[~in_tree]
+
+
+def connected_components(n_vertices, edges):
+    """Component label of each vertex, as a list; numbered by smallest vertex."""
+    return spanning_forest(n_vertices, edges)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -85,11 +115,8 @@ class BanachAlgebra:
         if self.kind == MATRIX and self.k < 1:
             raise ValueError("matrix algebra needs k >= 1")
         if self.kind == FUNCTIONS:
-            if self.vertices < 1:
-                raise ValueError("function algebra needs at least one vertex")
-            for u, v in self.edges:
-                if not (0 <= u < self.vertices and 0 <= v < self.vertices):
-                    raise ValueError(f"edge ({u},{v}) out of range")
+            object.__setattr__(self, "edges",
+                               graph_edges(self.vertices, self.edges))
 
     @property
     def is_commutative(self):
@@ -161,8 +188,7 @@ def matrix_algebra(k):
 
 
 def function_algebra(vertices, edges=()):
-    return BanachAlgebra(FUNCTIONS, vertices=vertices,
-                         edges=tuple(tuple(e) for e in edges))
+    return BanachAlgebra(FUNCTIONS, vertices=vertices, edges=edges)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,13 @@ constants (one per connected component) that parameterize all lifts.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import connected_components
+from .algebra import graph_edges, spanning_forest
 
 SAMPLING_GUARD = 1e-12
 WINDING_INT_TOL = 1e-6
@@ -35,6 +37,11 @@ class WindingError(ValueError):
     the identity component, so no continuous real lift exists."""
 
 
+# The phase-independent index arrays of a space: edge tails and heads, component
+# labels, and the tree and non-tree (tail, head) rows of ``spanning_forest``.
+SpaceGraph = namedtuple("SpaceGraph", "tails heads labels tree nontree")
+
+
 @dataclass(frozen=True)
 class DiscretizedSpace:
     """Vertex/edge discretization of a compact space.  Components are the
@@ -44,29 +51,34 @@ class DiscretizedSpace:
     edges: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges",
-                           tuple((int(u), int(v)) for u, v in self.edges))
-        for u, v in self.edges:
-            if not (0 <= u < self.vertices and 0 <= v < self.vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError("self-loops are not allowed")
+        object.__setattr__(self, "edges", graph_edges(self.vertices, self.edges))
+        if any(u == v for u, v in self.edges):
+            raise ValueError("self-loops are not allowed")
+
+    @cached_property
+    def graph(self):
+        """The SpaceGraph, read-only, built once per space by one traversal."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        graph = SpaceGraph(*ends.T, *spanning_forest(self.vertices, ends))
+        for array in graph:
+            array.flags.writeable = False
+        return graph
 
     @property
     def components(self):
-        return connected_components(self.vertices, self.edges)
+        return self.graph.labels.tolist()
 
 
 def circular_distance(s, t):
-    """Distance of two phases on R/Z, in [0, 1/2]."""
-    d = abs(s - t) % 1.0
-    return min(d, 1.0 - d)
+    """Distance of two phases on R/Z, in [0, 1/2], elementwise."""
+    d = np.abs(s - t) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
 def nearest_increment(s, t):
-    """The unique representative in (-1/2, 1/2) of t - s mod 1."""
+    """The unique representative in [-1/2, 1/2) of t - s mod 1, elementwise."""
     d = (t - s) % 1.0
-    return d - 1.0 if d >= 0.5 else d
+    return np.where(d >= 0.5, d - 1.0, d)
 
 
 @dataclass(frozen=True)
@@ -84,11 +96,13 @@ class CircleFunction:
             raise ValueError("phases must be finite")
         phase = phase % 1.0
         object.__setattr__(self, "phase", phase)
-        for u, v in self.space.edges:
-            if circular_distance(phase[u], phase[v]) >= 0.5 - SAMPLING_GUARD:
-                raise SamplingConditionError(
-                    f"edge ({u},{v}) joins phases at circular distance "
-                    f">= 1/2; refine the discretization")
+        tails, heads = self.space.graph.tails, self.space.graph.heads
+        bad = circular_distance(phase[tails], phase[heads]) >= 0.5 - SAMPLING_GUARD
+        if bad.any():
+            u, v = self.space.edges[bad.argmax()]
+            raise SamplingConditionError(
+                f"edge ({u},{v}) joins phases at circular distance "
+                f">= 1/2; refine the discretization")
 
     def multiply(self, other):
         """Pointwise product: phases add mod 1."""
@@ -125,71 +139,38 @@ class RealLift:
         wrap = np.abs((value - self.base.phase + 0.5) % 1.0 - 0.5)
         if np.max(wrap) > 1e-12:
             raise ValueError("lift does not reduce to the phases mod 1")
-        for u, v in self.space.edges:
-            inc = nearest_increment(self.base.phase[u], self.base.phase[v])
-            if abs((value[v] - value[u]) - inc) > 1e-9:
-                raise ValueError(f"edge ({u},{v}) increment is not the "
-                                 "nearest representative")
-
-
-def _spanning_forest(space):
-    """Deterministic BFS spanning forest: (roots, tree_edges, nontree_edges),
-    one root per component, the smallest vertex in it, and tree edges
-    oriented away from it."""
-    adjacency = [[] for _ in range(space.vertices)]
-    for idx, (u, v) in enumerate(space.edges):
-        adjacency[u].append((v, idx))
-        adjacency[v].append((u, idx))
-    visited = [False] * space.vertices
-    in_tree = [False] * len(space.edges)
-    roots = []
-    tree_edges = []
-    for root in range(space.vertices):
-        if visited[root]:
-            continue
-        visited[root] = True
-        roots.append(root)
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v, idx in sorted(adjacency[u]):
-                if not visited[v]:
-                    visited[v] = True
-                    in_tree[idx] = True
-                    tree_edges.append((u, v))
-                    queue.append(v)
-    nontree = [e for idx, e in enumerate(space.edges) if not in_tree[idx]]
-    return roots, tree_edges, nontree
+        tails, heads = self.space.graph.tails, self.space.graph.heads
+        inc = nearest_increment(self.base.phase[tails], self.base.phase[heads])
+        bad = np.abs((value[heads] - value[tails]) - inc) > 1e-9
+        if bad.any():
+            u, v = self.space.edges[bad.argmax()]
+            raise ValueError(f"edge ({u},{v}) increment is not the "
+                             "nearest representative")
 
 
 def _tree_lift(f):
     """Propagate nearest increments along the spanning forest, then read off
-    the cycle windings.  Root value is the root's phase in [0, 1).
-
-    Returns (lift, windings) where windings maps each non-tree edge to the
-    integer winding of its fundamental cycle.
-    """
-    roots, tree_edges, nontree = _spanning_forest(f.space)
-    lift = np.array(f.phase, dtype=float)
-    children = {}
-    for u, v in tree_edges:
-        children.setdefault(u, []).append(v)
-    for root in roots:
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in children.get(u, []):
-                lift[v] = lift[u] + nearest_increment(f.phase[u], f.phase[v])
-                stack.append(v)
-    windings = {}
-    for u, v in nontree:
-        w = lift[u] + nearest_increment(f.phase[u], f.phase[v]) - lift[v]
-        k = round(w)
-        if abs(w - k) > WINDING_INT_TOL:
-            raise ArithmeticError(
-                f"winding of cycle through edge ({u},{v}) is not an integer")
-        windings[(u, v)] = int(k)
-    return lift, windings
+    the cycle windings.  Root value is the root's phase in [0, 1).  Returns
+    (lift, windings) where windings maps each non-tree edge to the integer
+    winding of its fundamental cycle."""
+    graph, phase = f.space.graph, f.phase
+    tails, heads = graph.tree.T
+    steps = nearest_increment(phase[tails], phase[heads])
+    lift = phase.tolist()
+    # tree edges come in visiting order: every tail is lifted before its edge
+    for u, v, step in zip(tails.tolist(), heads.tolist(), steps.tolist()):
+        lift[v] = lift[u] + step
+    lift = np.array(lift)
+    tails, heads = graph.nontree.T
+    w = lift[tails] + nearest_increment(phase[tails], phase[heads]) - lift[heads]
+    k = np.round(w)
+    off = np.abs(w - k) > WINDING_INT_TOL
+    if off.any():
+        u, v = graph.nontree[off.argmax()].tolist()
+        raise ArithmeticError(
+            f"winding of cycle through edge ({u},{v}) is not an integer")
+    return lift, dict(zip(map(tuple, graph.nontree.tolist()),
+                          k.astype(int).tolist()))
 
 
 def identity_component_check(f):
@@ -216,27 +197,20 @@ def unwrap(f):
     return RealLift(f.space, lift, f)
 
 
-def _component_offset_norm(lo, hi):
-    """min over integers k of max(|lo + k|, |hi + k|), computed exactly from
-    the two integers bracketing -(lo + hi)/2."""
-    center = -(lo + hi) / 2.0
-    best = math.inf
-    for k in (math.floor(center), math.ceil(center)):
-        best = min(best, max(abs(lo + k), abs(hi + k)))
-    return best
-
-
 def quotient_norm(f):
     """Minimal sup norm of a real lift of f over the per-component integer
-    offsets.  Requires f in the identity component."""
+    offsets.  Requires f in the identity component.
+
+    On a component whose lift spans [lo, hi] the best offset is one of the
+    two integers bracketing -(lo + hi)/2, so both are tried."""
     lift = unwrap(f).value
-    comps = np.asarray(f.space.components)
-    worst = 0.0
-    for c in np.unique(comps):
-        vals = lift[comps == c]
-        worst = max(worst, _component_offset_norm(float(vals.min()),
-                                                  float(vals.max())))
-    return worst
+    labels = f.space.graph.labels
+    lo, hi = np.full((2, labels.max() + 1), [[np.inf], [-np.inf]])
+    np.minimum.at(lo, labels, lift)
+    np.maximum.at(hi, labels, lift)
+    center = -(lo + hi) / 2.0
+    k = np.stack([np.floor(center), np.ceil(center)])
+    return float(np.maximum(np.abs(lo + k), np.abs(hi + k)).min(axis=0).max())
 
 
 def cel(f):

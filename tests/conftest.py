@@ -1,0 +1,17 @@
+"""Test-session setup: BLAS threads are pinned to 1, with the variables that
+``bench/run.py`` pins, so that wall-clock gates such as acceptance
+criterion 3 measure the library rather than thread contention with other
+processes on the machine.  pytest loads this file before any test module
+imports numpy, which reads the variables when it is first imported."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+_spec = importlib.util.spec_from_file_location("_bench_run", _RUN)
+_run = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_run)
+for _var in _run.BLAS_THREAD_VARS:
+    os.environ[_var] = "1"

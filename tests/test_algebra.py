@@ -176,6 +176,20 @@ def test_function_algebra_components():
     assert alg.components() == [0, 0, 1, 2, 2]
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    (3, [(0, 1.0)]),
+    (3, [(0.7, 2)]),
+    (3, [(np.float64(0.0), 2)]),
+    (2.5, [(0, 1)]),
+])
+def test_function_algebra_rejects_non_integer_graphs(vertices, edges):
+    with pytest.raises(ValueError, match="non-integer|at least one vertex"):
+        ll.function_algebra(vertices, edges)
+    doc = {"kind": algebra.FUNCTIONS, "vertices": vertices, "edges": edges}
+    with pytest.raises(ValueError, match="non-integer|at least one vertex"):
+        algebra.algebra_from_json(doc)
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.kind)
 def test_json_round_trip(alg):
     rng = np.random.default_rng(4)

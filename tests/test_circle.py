@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lielength as ll
-from lielength import circle, oracles
+from lielength import algebra, circle, oracles
 
 
 def path_graph(n):
@@ -187,3 +191,125 @@ def test_real_lift_rejects_inconsistent_values():
     f = ll.CircleFunction(space, [0.0, 0.3, 0.6])
     with pytest.raises(ValueError):
         ll.RealLift(space, np.array([0.0, 0.8, 0.6]), f)
+
+
+# -- graph structure, built once per space ------------------------------------
+
+@pytest.mark.parametrize("vertices, edges, match", [
+    (3, [(0, 1.9)], "non-integer"),
+    (3, [(0.7, 2)], "non-integer"),
+    (3, [(0, np.float64(2.0))], "non-integer"),
+    (0, [], "at least one vertex"),
+    (2.0, [(0, 1)], "at least one vertex"),
+])
+def test_malformed_graph_rejected(vertices, edges, match):
+    with pytest.raises(ValueError, match=match):
+        ll.DiscretizedSpace(vertices, edges)
+    doc = {"vertices": vertices, "edges": edges, "phase": [0.0] * 3}
+    with pytest.raises(ValueError, match=match):
+        ll.CircleFunction.from_json(doc)
+
+
+def test_graph_built_once_per_space(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return algebra.spanning_forest(*args)
+
+    monkeypatch.setattr(circle, "spanning_forest", counting)
+    space = cycle_graph(5)
+    for phase in (np.zeros(5), np.full(5, 0.3)):
+        ll.cel(ll.CircleFunction(space, phase))
+    assert len(calls) == 1
+    # the cache is neither mutable from outside nor part of equality
+    space.components[0] = 7
+    assert space.components == [0] * 5
+    with pytest.raises(ValueError):
+        space.graph.labels[0] = 7
+    assert space == cycle_graph(5) and hash(space) == hash(cycle_graph(5))
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("gap, accepted", [
+    (0.5 - circle.SAMPLING_GUARD, False),
+    (0.5 - 2e-12, True),
+])
+def test_sampling_guard_boundary(gap, accepted, flip):
+    phase = [gap, 0.0] if flip else [0.0, gap]
+    if accepted:
+        ll.CircleFunction(path_graph(2), phase)
+    else:
+        with pytest.raises(ll.SamplingConditionError, match=r"edge \(0,1\)"):
+            ll.CircleFunction(path_graph(2), phase)
+
+
+def test_elementwise_increments_match_scalar_formulas():
+    rng = np.random.default_rng(5)
+    s, t = rng.uniform(0, 1, (2, 1000))
+    s[:3], t[:3] = [0.0, 0.25, 0.5], [0.5, 0.75, 0.0]  # ties at exactly 1/2
+    dist, inc = [], []
+    for a, b in zip(s.tolist(), t.tolist()):
+        d = abs(a - b) % 1.0
+        dist.append(min(d, 1.0 - d))
+        d = (b - a) % 1.0
+        inc.append(d - 1.0 if d >= 0.5 else d)
+    assert circle.circular_distance(s, t).tolist() == dist
+    assert circle.nearest_increment(s, t).tolist() == inc
+
+
+@st.composite
+def lifted_graphs(draw):
+    """A graph with several components, cycles, duplicate and reversed
+    edges, and a real lift whose step along every edge is below 0.45."""
+    v = draw(st.integers(1, 9))
+    step = st.sampled_from(range(-400, 401))  # thousandths, drawn uniformly
+    steps = draw(st.lists(step, min_size=v, max_size=v))
+    lift = draw(st.floats(-3.0, 3.0)) + np.cumsum(steps) / 1000
+    pairs = draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(1, 3),
+                                    st.booleans()), max_size=3 * v))
+    edges = []
+    for a, jump, reverse in pairs:
+        b = (a + jump) % v
+        if a != b and abs(lift[a] - lift[b]) < 0.45:
+            edges.append((b, a) if reverse else (a, b))
+            if reverse and jump == 1:
+                edges.append((a, b))
+    return v, edges, lift
+
+
+def _undirected(edges):
+    return sorted(tuple(sorted(e)) for e in edges)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(lifted_graphs())
+def test_graph_and_lift_properties(case):
+    v, edges, true_lift = case
+    ends = np.array(edges, dtype=int).reshape(-1, 2)
+    adjacency = scipy.sparse.coo_matrix(
+        (np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(v, v))
+    n_comp, labels = scipy.sparse.csgraph.connected_components(
+        adjacency, directed=False)
+    assert algebra.connected_components(v, edges) == labels.tolist()
+
+    space = ll.DiscretizedSpace(v, edges)
+    tree, nontree = space.graph.tree, space.graph.nontree
+    assert len(tree) == v - n_comp
+    assert _undirected(edges) == _undirected(tree.tolist() + nontree.tolist())
+    assert set(map(tuple, nontree.tolist())) <= set(edges)
+    forest = scipy.sparse.coo_matrix(
+        (np.ones(len(tree)), (tree[:, 0], tree[:, 1])), shape=(v, v))
+    assert scipy.sparse.csgraph.connected_components(
+        forest, directed=False)[1].tolist() == labels.tolist()
+
+    f = ll.CircleFunction(space, true_lift % 1.0)
+    ok, windings = ll.identity_component_check(f)
+    assert ok and set(windings) == set(map(tuple, nontree.tolist()))
+    assert all(k == 0 for k in windings.values())
+    offset = ll.unwrap(f).value - true_lift
+    assert np.allclose(offset, np.round(offset), atol=1e-9)
+    for c in range(n_comp):
+        assert np.unique(np.round(offset[labels == c])).size == 1
+    if n_comp <= 4:
+        assert ll.quotient_norm(f) == oracles.oracle_quotient_norm(f, 5)
