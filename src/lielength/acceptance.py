@@ -78,20 +78,20 @@ def criterion_1_sandwich():
                    f"violations={violations}", elapsed, 10.0)
 
 
-def _random_admissible_circle(rng, max_vertices=6, max_components=3):
+def _random_admissible_circle(rng):
     """Random circle function built from a bounded real lift, so the
     sampling condition and zero windings hold by construction."""
-    v = int(rng.integers(1, max_vertices + 1))
-    labels = rng.integers(0, max_components, size=v)
+    v = int(rng.integers(1, 7))
+    labels = rng.integers(0, 3, size=v)
     edges = []
-    for c in range(max_components):
+    for c in range(3):
         members = np.flatnonzero(labels == c)
         for a, b in zip(members[:-1], members[1:]):
             edges.append((int(a), int(b)))
         for a, b in zip(members[:-2], members[2:]):
             if rng.random() < 0.3:
                 edges.append((int(a), int(b)))
-    base = rng.uniform(-3.0, 3.0, size=max_components)
+    base = rng.uniform(-3.0, 3.0, size=3)
     lift = base[labels] + rng.uniform(-0.2, 0.2, size=v)
     space = circle.DiscretizedSpace(v, edges)
     return circle.CircleFunction(space, lift % 1.0), lift
@@ -469,13 +469,13 @@ CRITERIA = (
 )
 
 
-def run_all(echo=print):
-    """Run every criterion, echo one pass/fail line each, return reports."""
+def run_all():
+    """Run every criterion, print one pass/fail line each, return reports."""
     reports = []
     for fn in CRITERIA:
         report = fn()
         reports.append(report)
         status = "PASS" if report["passed"] else "FAIL"
-        echo(f"[{status}] {report['criterion']} "
-             f"({report['elapsed_s']}s) {report['detail']}")
+        print(f"[{status}] {report['criterion']} "
+              f"({report['elapsed_s']}s) {report['detail']}")
     return reports

@@ -361,11 +361,10 @@ def norm_description(algebra):
 @dataclass
 class GroupElement:
     """An invertible matrix over a Banach algebra, tagged with its ambient
-    group (GL, SL, En, U, Up)."""
+    group (GL, SL, En, U, Up).  Invariants are checked to ``DEFAULT_TOL``."""
 
     matrix: MatrixOverAlgebra
     group_tag: str = "GL"
-    tol: float = DEFAULT_TOL
     validate: bool = True
 
     def __post_init__(self):
@@ -375,16 +374,18 @@ class GroupElement:
             self.check_invariants()
 
     def check_invariants(self):
-        # written as not (x <= tol) so that NaN entries fail every check
         g = self.matrix
+        if not np.all(np.isfinite(g.data)):
+            raise ValueError("entries must be finite")
+        # written as not (x <= tol) so that a NaN from overflow fails them
         res = (g @ g.inverse()) - MatrixOverAlgebra.identity(g.algebra, g.n)
-        if not (res.op_norm() <= self.tol * (1.0 + g.op_norm())):
+        if not (res.op_norm() <= DEFAULT_TOL * (1.0 + g.op_norm())):
             raise ValueError("matrix is not invertible within tolerance")
         if self.group_tag == "SL":
             if not g.algebra.is_commutative:
                 raise ValueError("SL tag requires a commutative algebra")
             dev = g.det().value - g.algebra.unit_value()
-            if not (g.algebra.norm(dev) <= self.tol):
+            if not (g.algebra.norm(dev) <= DEFAULT_TOL):
                 raise ValueError("SL tag but determinant differs from the unit")
         if self.group_tag in ("U", "Up") and not self.is_unitary():
             raise ValueError("U tag but g*g differs from the identity")
@@ -399,31 +400,28 @@ class GroupElement:
 
     def inverse(self):
         return GroupElement(self.matrix.inverse(), self.group_tag,
-                            tol=self.tol, validate=False)
+                            validate=False)
 
     def __matmul__(self, other):
         tag = self.group_tag if self.group_tag == other.group_tag else "GL"
-        return GroupElement(self.matrix @ other.matrix, tag,
-                            tol=self.tol, validate=False)
+        return GroupElement(self.matrix @ other.matrix, tag, validate=False)
 
-    def is_unitary(self, tol=None):
-        tol = self.tol if tol is None else tol
+    def is_unitary(self):
         g = self.matrix
         res = (g.adjoint() @ g) - MatrixOverAlgebra.identity(g.algebra, g.n)
-        return res.op_norm() <= tol
+        return res.op_norm() <= DEFAULT_TOL
 
     @classmethod
-    def identity(cls, algebra, n, group_tag="GL"):
-        return cls(MatrixOverAlgebra.identity(algebra, n), group_tag,
-                   validate=False)
+    def identity(cls, algebra, n):
+        return cls(MatrixOverAlgebra.identity(algebra, n), validate=False)
 
 
 # ---------------------------------------------------------------------------
 # exponential and principal logarithm
 
 
-def mat_exp(x, group_tag="GL", tol=DEFAULT_TOL):
-    """exp(X) as a group element.  Verifies |exp(X)| <= e^{|X|}."""
+def mat_exp(x):
+    """exp(X) as a GL group element.  Verifies |exp(X)| <= e^{|X|}."""
     flat = scipy.linalg.expm(x.to_flat())
     if not np.all(np.isfinite(flat)):
         raise NumericFailureError("matrix exponential did not converge")
@@ -431,7 +429,7 @@ def mat_exp(x, group_tag="GL", tol=DEFAULT_TOL):
     bound = np.exp(min(x.op_norm(), 700.0))
     if mat.op_norm() > bound * (1.0 + 1e-9) + 1e-12:
         raise NumericFailureError("|exp(X)| exceeds e^{|X|}: numeric failure")
-    return GroupElement(mat, group_tag, tol=tol, validate=False)
+    return GroupElement(mat, validate=False)
 
 
 def unitary_spectrum(m):
@@ -456,7 +454,7 @@ def exp_i_selfadjoint(lam, vecs):
     return (vecs * np.exp(1j * lam)) @ vecs.conj().T
 
 
-def _principal_log_square(m, unitary, tol):
+def _principal_log_square(m, unitary):
     """Principal log of one plain square matrix.
 
     Unitary input takes the branch of ``unitary_spectrum``.  Non-unitary
@@ -469,9 +467,9 @@ def _principal_log_square(m, unitary, tol):
         return (z * logd) @ z.conj().T
     eig = np.linalg.eigvals(m)
     scale = max(1.0, float(np.max(np.abs(eig))))
-    if np.any(np.abs(eig) <= tol * scale):
+    if np.any(np.abs(eig) <= DEFAULT_TOL * scale):
         raise SpectrumOnCutError("singular input: 0 is in the spectrum")
-    on_cut = (eig.real <= 0) & (np.abs(eig.imag) <= tol * scale)
+    on_cut = (eig.real <= 0) & (np.abs(eig.imag) <= DEFAULT_TOL * scale)
     if np.any(on_cut):
         raise SpectrumOnCutError(
             "spectrum touches the negative real axis; principal log undefined")
@@ -481,7 +479,7 @@ def _principal_log_square(m, unitary, tol):
     return out
 
 
-def mat_log(g, tol=DEFAULT_TOL):
+def mat_log(g):
     """Principal logarithm of a group element.
 
     Unitary elements are always accepted (ties at -1 resolve to +pi); other
@@ -489,10 +487,10 @@ def mat_log(g, tol=DEFAULT_TOL):
     The round trip exp(log g) = g is verified to 1e-9 relative.
     """
     mat = g.matrix
-    unitary = g.group_tag in ("U", "Up") or g.is_unitary(tol)
+    unitary = g.group_tag in ("U", "Up") or g.is_unitary()
     flat = mat.to_flat()
     squares = flat.reshape((-1,) + flat.shape[-2:])
-    logs = np.stack([_principal_log_square(m, unitary, tol)
+    logs = np.stack([_principal_log_square(m, unitary)
                      for m in squares]).reshape(flat.shape)
     if mat.algebra.kind == SCALAR_REAL:
         if np.max(np.abs(np.imag(logs))) > 1e-9:
@@ -500,7 +498,7 @@ def mat_log(g, tol=DEFAULT_TOL):
                 "no real logarithm: spectrum requires a complex branch")
         logs = np.real(logs)
     out = MatrixOverAlgebra.from_flat(mat.algebra, mat.n, logs)
-    back = mat_exp(out, group_tag=g.group_tag, tol=tol)
+    back = mat_exp(out)
     err = (back.matrix - mat).op_norm()
     if err > 1e-9 * (1.0 + mat.op_norm()):
         raise NumericFailureError(f"exp(log g) missed g by {err:.3g}")

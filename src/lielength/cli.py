@@ -5,8 +5,9 @@ estimates, ``trotter`` scaling defects, ``cel`` circle lengths, ``schatten``
 chain and witness experiments, ``en`` elementary-group checks, ``coarse``
 map fitting, and ``suite acceptance`` for the full battery.  Runs are
 deterministic for a fixed ``--seed``; result files carry no timestamps, so
-identical configs produce identical bytes.  Exit status 0 means every
-assertion in the requested run held.
+identical configs produce identical bytes.  ``--tol`` (``el`` and ``rel``
+only) is the bracket-order slack.  Exit status: 0 when every check held, 1
+when a check failed, 2 on unusable input, with one ``lielength: error:`` line.
 """
 
 from __future__ import annotations
@@ -283,7 +284,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -293,6 +293,7 @@ def build_parser():
     p_el.add_argument("--input", default=None,
                       help="JSON group element instead of a named sample")
     p_el.add_argument("--no-optimize", action="store_true")
+    p_el.add_argument("--tol", type=float, default=1e-9)
     common(p_el)
     p_el.set_defaults(fn=_cmd_el)
 
@@ -301,6 +302,7 @@ def build_parser():
     p_rel.add_argument("--group", default="gl2")
     p_rel.add_argument("--input", default=None)
     p_rel.add_argument("--no-optimize", action="store_true")
+    p_rel.add_argument("--tol", type=float, default=1e-9)
     common(p_rel)
     p_rel.set_defaults(fn=_cmd_rel)
 
@@ -351,7 +353,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, KeyError,
+            explength.NoFactorizationError) as exc:
+        print(f"lielength: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -44,12 +44,12 @@ class SampledSpace:
             raise ValueError("distance table must be symmetric")
         self.check_triangle()
 
-    def check_triangle(self, tol=1e-9):
+    def check_triangle(self):
         d = self.dist
         n = d.shape[0]
         for i in range(n):
             through = d[i][None, :] + d[i][:, None]
-            if np.any(d > through + tol):
+            if np.any(d > through + 1e-9):
                 raise ValueError("triangle inequality fails on the sample")
         return True
 
@@ -255,15 +255,15 @@ def fit_quasi_isometry(sample):
     return QuasiIsometryFit(k_star, l_star, refuted, trend)
 
 
-def _additive_trend(pairs, k, bins=8):
-    """Forced additive constant restricted to pairs within growing radii;
-    an unbounded upward trend refutes the quasi-isometry ansatz."""
+def _additive_trend(pairs, k):
+    """Forced additive constant restricted to pairs within eight growing
+    radii; an unbounded upward trend refutes the quasi-isometry ansatz."""
     if not pairs:
         return []
     top = max(dx for dx, _ in pairs)
     if top == 0:
         return []
-    edges = [top * (i + 1) / bins for i in range(bins)]
+    edges = [top * (i + 1) / 8 for i in range(8)]
     out = []
     for edge in edges:
         inside = [p for p in pairs if p[0] <= edge]

@@ -18,7 +18,7 @@ generator per graph component for function algebras).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -223,24 +223,22 @@ class HSDeterminantContext:
     """Tracial functional and lattice data for the factorization invariant."""
 
     algebra: BanachAlgebra
-    trace: object = None
-    lattice: list = None
+    trace: object = field(init=False)
+    lattice: list = field(init=False)
 
     def __post_init__(self):
-        if self.trace is None:
-            self.trace = default_trace(self.algebra)
-        if self.lattice is None:
-            self.lattice = default_lattice(self.algebra)
+        self.trace = default_trace(self.algebra)
+        self.lattice = default_lattice(self.algebra)
 
-    def check_tracial(self, rng, samples=20, tol=1e-10):
-        """Verify tau(xy - yx) = 0 on random sampled pairs."""
+    def check_tracial(self, rng):
+        """Verify tau(xy - yx) = 0 to 1e-10 on 20 random sampled pairs."""
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(20):
             x = self.algebra.random_value(rng)
             y = self.algebra.random_value(rng)
             comm = self.algebra.mul(x, y) - self.algebra.mul(y, x)
             worst = max(worst, float(np.max(np.abs(self.trace(comm)))))
-        if worst > tol:
+        if worst > 1e-10:
             raise AssertionError(f"trace fails on commutators by {worst}")
         return worst
 
@@ -313,7 +311,7 @@ class TracelessDecomposition:
         return out
 
 
-def traceless_decompose(x, ctx=None, tol=1e-10):
+def traceless_decompose(x, ctx=None):
     """Express a matrix with tau_n(X) = 0 in the e/f/g generator span.
 
     Off-diagonal entries map to e coefficients; the diagonal is cleared by
@@ -322,7 +320,7 @@ def traceless_decompose(x, ctx=None, tol=1e-10):
     """
     ctx = ctx or HSDeterminantContext(x.algebra)
     trace_value = np.max(np.abs(ctx.trace_of_matrix(x)))
-    if trace_value > tol:
+    if trace_value > 1e-10:
         raise ValueError(f"matrix has nonzero trace {trace_value:.3g}")
     n = x.n
     e_coeffs = {}

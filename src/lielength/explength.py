@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .algebra import (
 
 
 class NoFactorizationError(RuntimeError):
-    """No admissible factorization was found within the budget: the element
-    is likely outside the identity component, or the budget is too small."""
+    """No admissible factorization was found: the element is outside the
+    identity component, or the budget or floating-point range ran out."""
 
 
 @dataclass
@@ -45,18 +46,17 @@ class FactorizationCertificate:
     residual: float
     sum_of_norms: float
     norm_of_sum: float
-    tol: float = 1e-6
 
     @classmethod
-    def from_factors(cls, factors, target, tol=1e-6):
+    def from_factors(cls, factors, target):
         product = _product_of_exponentials(factors, target)
         residual = (product.matrix - target.matrix).op_norm()
         zero = MatrixOverAlgebra.zeros(target.algebra, target.n)
         return cls(list(factors), target, residual, _sum_norms(factors),
-                   _norm_of_sum([zero] + list(factors)), tol=tol)
+                   _norm_of_sum([zero] + list(factors)))
 
     def check_invariants(self):
-        if self.residual > self.tol:
+        if self.residual > 1e-6:
             raise AssertionError(f"residual {self.residual} above tolerance")
         if self.sum_of_norms < self.norm_of_sum - 1e-9 * (1 + self.sum_of_norms):
             raise AssertionError("triangle inequality violated")
@@ -69,13 +69,12 @@ class FactorizationCertificate:
         of norms is unchanged."""
         factors = [(-x) for x in reversed(self.factors)]
         return FactorizationCertificate.from_factors(
-            factors, self.target.inverse(), tol=self.tol)
+            factors, self.target.inverse())
 
     def concat(self, other):
         """Certificate for (self.target @ other.target) by concatenation."""
         return FactorizationCertificate.from_factors(
-            self.factors + other.factors, self.target @ other.target,
-            tol=max(self.tol, other.tol))
+            self.factors + other.factors, self.target @ other.target)
 
     def to_json(self):
         return {
@@ -104,8 +103,7 @@ class ElBracket:
 
     lower: float
     upper: float
-    certificate: FactorizationCertificate = None
-    lower_method: str = "log-op-norm"
+    certificate: FactorizationCertificate
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-6:
@@ -113,11 +111,9 @@ class ElBracket:
                 f"bracket inverted: lower {self.lower} > upper {self.upper}")
 
     def to_json(self):
-        doc = {"lower": self.lower, "upper": self.upper,
-               "lower_method": self.lower_method}
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate.to_json()
-        return doc
+        return {"lower": self.lower, "upper": self.upper,
+                "lower_method": "log-op-norm",
+                "certificate": self.certificate.to_json()}
 
 
 def el_lower_bound(g):
@@ -153,7 +149,7 @@ def el_exact_unitary(u):
     return log.op_norm()
 
 
-def el_exact_positive_diagonal(a, tol=1e-9):
+def el_exact_positive_diagonal(a):
     """|log a| for a = diag(d, d^{-1}) with d positive invertible in a
     commutative algebra; the single-factor and log|a| bounds meet here."""
     mat = a.matrix
@@ -162,14 +158,14 @@ def el_exact_positive_diagonal(a, tol=1e-9):
     if not mat.algebra.is_commutative:
         raise ValueError("requires a commutative algebra")
     norms = mat.entry_norms()
-    if norms[0, 1] > tol or norms[1, 0] > tol:
+    if norms[0, 1] > 1e-9 or norms[1, 0] > 1e-9:
         raise ValueError("off-diagonal entries must vanish")
     d = np.asarray(mat.data[0, 0])
     dinv = np.asarray(mat.data[1, 1])
     if np.max(np.abs(d * dinv - mat.algebra.unit_value())) > 1e-7:
         raise ValueError("expected diag(d, d^{-1})")
-    if np.any(np.abs(np.imag(np.atleast_1d(d))) > tol) or np.any(
-            np.real(np.atleast_1d(d)) <= tol):
+    if np.any(np.abs(np.imag(np.atleast_1d(d))) > 1e-9) or np.any(
+            np.real(np.atleast_1d(d)) <= 1e-9):
         raise ValueError("d must be positive")
     logs = np.log(np.real(np.atleast_1d(d)))
     return float(np.max(np.abs(logs)))
@@ -179,13 +175,13 @@ def el_exact_positive_diagonal(a, tol=1e-9):
 class EstimateBudget:
     """Deterministic caps for the factorization search."""
 
-    max_factors: int = 16
+    max_factors: ClassVar[int] = 16
+    init_step: ClassVar[float] = 0.25
+    min_step: ClassVar[float] = 1e-4
+    residual_tol: ClassVar[float] = 1e-8
     restarts: int = 2
     iterations: int = 20
     trials: int = 6
-    init_step: float = 0.25
-    min_step: float = 1e-4
-    residual_tol: float = 1e-8
     optimize: bool = True
 
 
@@ -226,7 +222,7 @@ def _polar_certificate(g):
     return [_try_log(w, "U"), _try_log(p, "GL")]
 
 
-def _initial_certificates(g, budget, initial_factors=None):
+def _initial_certificates(g, budget, initial_factors):
     """Candidate factorizations: caller-supplied factors, the single-factor
     principal log when admissible, its subdivisions, a rotated-branch single
     factor, the polar two-factor split, and logs along the linear
@@ -270,9 +266,15 @@ def _initial_certificates(g, budget, initial_factors=None):
         except (SpectrumOnCutError, NumericFailureError, np.linalg.LinAlgError):
             k *= 2
     if not pool:
+        # GL(n, R) is the only disconnected group; exp never reaches det < 0
+        if g.algebra.dtype == np.float64 and np.linalg.slogdet(
+                g.matrix.to_flat())[0] < 0:
+            raise NoFactorizationError(
+                "det < 0: the element is outside the identity component")
         raise NoFactorizationError(
-            "every path step leaves the log domain at max subdivision; "
-            "the element is likely outside the identity component")
+            f"every path step left the log domain up to {budget.max_factors} "
+            "factors: the search budget or the floating-point range of "
+            "exp/log is exhausted")
     return pool
 
 
@@ -377,14 +379,14 @@ def _search(g, objective, budget, seed, initial_factors):
     raise NoFactorizationError("no certificate met the residual tolerance")
 
 
-def el_estimate(g, budget=None, seed=0, initial_factors=None):
+def el_estimate(g, budget=None, seed=0):
     """Bracket [log-norm lower bound, best certificate sum] for el(g).
 
     Deterministic for a fixed seed; the certificate witnessing the upper
     bound is returned inside the bracket.
     """
     budget = budget or EstimateBudget()
-    cert = _search(g, _sum_norms, budget, seed, initial_factors)
+    cert = _search(g, _sum_norms, budget, seed, None)
     return ElBracket(el_lower_bound(g), cert.sum_of_norms, cert)
 
 
@@ -436,34 +438,27 @@ class MinimalityReport:
     pairs: list
 
 
-def minimality_check(samples, length_function=None, tol=1e-9):
+def minimality_check(samples):
     """Fit the smallest K with ell(exp X) <= |X| <= K * ell(exp X) over
-    Lie-algebra samples X.
-
-    ``length_function`` maps a group element to a length value; the default
-    is the certificate upper bound of ``el_estimate`` without optimization.
+    Lie-algebra samples X, where ell is the certificate upper bound of
+    ``el_estimate`` without optimization; comparisons allow 1e-9.
     """
-    if length_function is None:
-        quick = EstimateBudget(optimize=False)
-
-        def length_function(h):
-            return el_estimate(h, budget=quick).upper
-
+    quick = EstimateBudget(optimize=False)
     constant = 0.0
     witness = -1
     lower_holds = True
     pairs = []
     for idx, x in enumerate(samples):
         g = mat_exp(x)
-        value = length_function(g)
+        value = el_estimate(g, budget=quick).upper
         norm = x.op_norm()
         pairs.append((norm, value))
-        if value > norm + tol:
+        if value > norm + 1e-9:
             lower_holds = False
         if value > 0 and norm / value > constant:
             constant = norm / value
             witness = idx
-        if value == 0 and norm > tol:
+        if value == 0 and norm > 1e-9:
             constant = math.inf
             witness = idx
     return MinimalityReport(constant, witness, lower_holds, pairs)

@@ -171,14 +171,13 @@ class GeodesicChainReport:
     step_lengths: list
     sum_of_steps: float
     distance: float
-    constant: float = 2.0
 
     @property
     def satisfies_large_scale_geodesic(self):
         if not self.step_lengths:
             return True
-        return (max(self.step_lengths) <= self.constant + 1e-9
-                and self.distance <= self.constant * self.sum_of_steps + 1e-9)
+        return (max(self.step_lengths) <= 2.0 + 1e-9
+                and self.distance <= 2.0 * self.sum_of_steps + 1e-9)
 
 
 def geodesic_chain(u):
@@ -236,7 +235,7 @@ class ExpContinuityReport:
     sup_operator_norm: float
 
 
-def exp_p_continuity(a, sequence, context, slack=1e-9):
+def exp_p_continuity(a, sequence, context):
     """Lipschitz ratios |e^{ia_m} - e^{ia}|_p / |a_m - a|_p for a sequence of
     self-adjoint a_m with uniformly bounded operator norm.
 
@@ -256,7 +255,7 @@ def exp_p_continuity(a, sequence, context, slack=1e-9):
             continue
         num = PUnitary.from_selfadjoint(am, context).dist_to(ua)
         ratios.append(num / denom)
-    satisfied = all(r <= EXP_LIPSCHITZ_BOUND + slack for r in ratios)
+    satisfied = all(r <= EXP_LIPSCHITZ_BOUND + 1e-9 for r in ratios)
     if not satisfied:
         raise AssertionError(
             f"exp ratio exceeded the telescoping bound e: {max(ratios)}")

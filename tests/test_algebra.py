@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lielength as ll
 from lielength import algebra
@@ -46,6 +48,16 @@ def test_operator_norm_submultiplicative_and_equivalent(alg):
         # entry-max and operator norms bracket each other with c=1, C=n
         assert x.entry_max_norm() <= x.op_norm() * (1 + 1e-12)
         assert x.op_norm() <= n * x.entry_max_norm() * (1 + 1e-12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.sampled_from(ALGEBRAS), st.integers(1, 4), st.floats(1e-3, 1e3),
+       st.integers(0, 2**32 - 1))
+def test_op_norm_submultiplicative_property(alg, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = ll.MatrixOverAlgebra.random(alg, n, rng, scale=scale)
+    y = ll.MatrixOverAlgebra.random(alg, n, rng)
+    assert (x @ y).op_norm() <= x.op_norm() * y.op_norm() * (1 + 1e-12)
 
 
 def test_op_norm_identity():
@@ -162,12 +174,13 @@ def test_group_element_invariants():
         ll.GroupElement(singular, "GL")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tag", ["GL", "SL", "U"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_group_element_rejects_non_finite_entries(tag, bad):
     mat = ll.MatrixOverAlgebra(ll.scalar_complex(),
                                np.array([[1.0 + 0j, 0], [0, bad]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         ll.GroupElement(mat, tag)
 
 

@@ -183,3 +183,38 @@ def test_input_files_are_closed(tmp_path, capsys):
         gc.collect()
     capsys.readouterr()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _nan_group_json(path):
+    doc = {"algebra": {"kind": "scalar-complex"}, "n": 1,
+           "entries": [[[math.nan, 0.0]]], "group_tag": "GL"}
+    path.write_text(json.dumps(doc))
+
+
+def _bad_sampling_json(path):
+    f = {"vertices": 3, "edges": [[0, 1], [1, 2]], "phase": [0.0, 0.5, 0.6]}
+    path.write_text(json.dumps(f))
+
+
+@pytest.mark.parametrize("command, write", [
+    (["cel", "compute"], _bad_sampling_json),
+    (["el", "estimate"], None),
+    (["el", "estimate"], _nan_group_json),
+], ids=["bad-sampling", "missing-file", "nan-entries"])
+def test_input_errors_exit_2_with_one_line(tmp_path, capsys, command, write):
+    path = tmp_path / "input.json"
+    if write is not None:
+        write(path)
+    assert run(command + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lielength: error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_tol_belongs_to_el_and_rel():
+    assert cli.build_parser().parse_args(
+        ["rel", "estimate", "--tol", "0.5"]).tol == 0.5
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["trotter", "--tol", "0.5"])

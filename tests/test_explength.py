@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lielength as ll
-from lielength import explength, oracles, schatten
+from lielength import acceptance, explength, oracles, schatten
 
 
 def unitary_group_element(u):
@@ -150,6 +152,44 @@ def test_estimate_outside_identity_component_raises():
     g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.diag([-1.0, 1.0])), "GL")
     with pytest.raises(ll.NoFactorizationError):
         ll.el_estimate(g, seed=0)
+
+
+@pytest.mark.parametrize("alg, diagonal, outside", [
+    # the search overflows on its way through the path steps
+    pytest.param(ll.scalar_complex(), [1e200, 1e-200], False, id="C-huge",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:overflow encountered in matmul:RuntimeWarning",
+                     "ignore:invalid value encountered in matmul:RuntimeWarning")),
+    pytest.param(ll.scalar_real(), [-1.0, -1.0], False, id="R-minus-identity"),
+    pytest.param(ll.scalar_real(), [-1.0, 1.0], True, id="R-det-negative"),
+])
+def test_no_factorization_message_is_truthful(alg, diagonal, outside):
+    """Only det < 0 over the reals is outside the identity component; the
+    other failures name the exhausted budget and floating-point range."""
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.diag(diagonal)), "GL")
+    with pytest.raises(ll.NoFactorizationError) as caught:
+        ll.el_estimate(g, seed=0)
+    message = str(caught.value)
+    assert ("identity component" in message) == outside
+    assert ("budget" in message and "floating-point range" in message) \
+        == (not outside)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_bracket_properties(n, seed):
+    """On random GL2/GL3 elements: the bracket is ordered, its certificate
+    meets the search's residual gate and sums to the upper bound, and the
+    reduced length stays below it."""
+    g = acceptance.random_gl(n, np.random.default_rng(seed))
+    quick = ll.EstimateBudget(optimize=False)
+    bracket = ll.el_estimate(g, budget=quick, seed=seed)
+    cert = bracket.certificate
+    assert bracket.lower <= bracket.upper
+    assert cert.residual <= quick.residual_tol * (1 + g.matrix.op_norm())
+    total = sum(x.op_norm() for x in cert.factors)
+    assert bracket.upper == pytest.approx(total, rel=0, abs=1e-12)
+    assert ll.rel_estimate(g, budget=quick, seed=seed) <= bracket.upper + 1e-9
 
 
 def test_rel_estimate_fixtures():
