@@ -169,9 +169,8 @@ def criterion_4_positive_diagonal():
         else:
             alg = graph
             d = np.exp(rng.uniform(-2, 2, size=4))
-        mat = algebra.MatrixOverAlgebra.zeros(alg, 2)
-        mat.data[0, 0] = d * alg.unit_value()
-        mat.data[1, 1] = (1.0 / d) * alg.unit_value()
+        mat = algebra.MatrixOverAlgebra.diagonal(
+            alg, [d * alg.unit_value(), (1.0 / d) * alg.unit_value()])
         g = algebra.GroupElement(mat, "GL", validate=False)
         exact = explength.el_exact_positive_diagonal(g)
         bracket = explength.el_estimate(g, budget=quick, seed=idx)
@@ -367,18 +366,15 @@ def _project_traceless(x, ctx):
     """Cancel tau_n(X) by adjusting the corner entry inside ker(tau)."""
     alg = x.algebra
     value = ctx.trace_of_matrix(x)
-    corr = x.copy()
     if alg.kind == algebra.FUNCTIONS:
-        comps = np.asarray(alg.components())
-        per_vertex = np.asarray(value)[comps]
-        corr.data[x.n - 1, x.n - 1] = corr.data[x.n - 1, x.n - 1] - per_vertex
+        corner = np.asarray(value)[np.asarray(alg.components())]
     elif alg.kind == algebra.MATRIX:
-        k = alg.k
-        corr.data[x.n - 1, x.n - 1] = (corr.data[x.n - 1, x.n - 1]
-                                       - (value[0] / k) * np.eye(k))
+        corner = (value[0] / alg.k) * np.eye(alg.k)
     else:
-        corr.data[x.n - 1, x.n - 1] = corr.data[x.n - 1, x.n - 1] - value[0]
-    return corr
+        corner = value[0]
+    # the other entries subtract an exact zero, so only the corner changes
+    return x - algebra.MatrixOverAlgebra.single_entry(
+        alg, x.n, x.n - 1, x.n - 1, corner)
 
 
 def criterion_10_hs_determinant():

@@ -59,6 +59,14 @@ def graph_edges(vertices, edges):
     return tuple((int(u), int(v)) for u, v in edges)
 
 
+def read_only(array, dtype=None):
+    """A read-only view of ``array`` as ``dtype``: the holder cannot write
+    through it, and the caller's own array stays writable."""
+    view = np.asarray(array, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
 def spanning_forest(n_vertices, edges):
     """One breadth-first traversal of an undirected graph: (labels, tree_edges,
     nontree_edges).  Components are rooted at their smallest vertex and
@@ -199,11 +207,11 @@ class AlgebraElement:
     value: object
 
     def __post_init__(self):
-        v = np.asarray(self.value)
+        v = read_only(self.value, self.algebra.dtype)
         if v.shape != self.algebra.value_shape():
             raise ValueError(
                 f"value shape {v.shape} does not match algebra {self.algebra.kind}")
-        object.__setattr__(self, "value", v.astype(self.algebra.dtype))
+        object.__setattr__(self, "value", v)
 
 
 class MatrixOverAlgebra:
@@ -211,12 +219,13 @@ class MatrixOverAlgebra:
 
     Data layout: scalar algebras store (n, n); the matrix(k) algebra stores
     (n, n, k, k); function algebras store (n, n, V).  Entry (i, j) is
-    ``data[i, j]`` in all cases.
+    ``data[i, j]`` in all cases.  ``data`` is a read-only view: every
+    operation builds a new matrix.
     """
 
     def __init__(self, algebra, data):
         self.algebra = algebra
-        data = np.asarray(data, dtype=algebra.dtype)
+        data = read_only(data, algebra.dtype)
         expected_ndim = 2 + len(algebra.value_shape())
         if data.ndim != expected_ndim or data.shape[0] != data.shape[1]:
             raise ValueError(f"bad matrix data shape {data.shape}")
@@ -229,8 +238,14 @@ class MatrixOverAlgebra:
     # -- constructors ------------------------------------------------------
     @classmethod
     def identity(cls, algebra, n):
+        return cls.diagonal(algebra, [algebra.unit_value()] * n)
+
+    @classmethod
+    def diagonal(cls, algebra, values):
+        """The diagonal matrix with entries ``values`` down its diagonal."""
+        n = len(values)
         data = np.zeros((n, n) + algebra.value_shape(), dtype=algebra.dtype)
-        data[range(n), range(n)] = algebra.unit_value()
+        data[range(n), range(n)] = values
         return cls(algebra, data)
 
     @classmethod
@@ -240,9 +255,9 @@ class MatrixOverAlgebra:
 
     @classmethod
     def single_entry(cls, algebra, n, i, j, value):
-        out = cls.zeros(algebra, n)
-        out.data[i, j] = np.asarray(value, dtype=algebra.dtype)
-        return out
+        data = np.zeros((n, n) + algebra.value_shape(), dtype=algebra.dtype)
+        data[i, j] = value
+        return cls(algebra, data)
 
     @classmethod
     def random(cls, algebra, n, rng, scale=1.0):
@@ -307,7 +322,7 @@ class MatrixOverAlgebra:
             return self.data.transpose(0, 2, 1, 3).reshape(self.n * k, self.n * k)
         if kind == FUNCTIONS:
             return self.data.transpose(2, 0, 1)
-        return self.data.copy()
+        return self.data
 
     @classmethod
     def from_flat(cls, algebra, n, flat):
@@ -339,9 +354,6 @@ class MatrixOverAlgebra:
             value = value + self.data[i, i]
         return AlgebraElement(self.algebra, value)
 
-    def copy(self):
-        return MatrixOverAlgebra(self.algebra, self.data.copy())
-
     def __repr__(self):
         return (f"MatrixOverAlgebra(n={self.n}, kind={self.algebra.kind!r}, "
                 f"|X|={self.op_norm():.4g})")
@@ -358,7 +370,7 @@ def norm_description(algebra):
     return f"max column sum of entry norms, entries by {entry}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupElement:
     """An invertible matrix over a Banach algebra, tagged with its ambient
     group (GL, SL, En, U, Up).  Invariants are checked to ``DEFAULT_TOL``."""
@@ -408,7 +420,10 @@ class GroupElement:
 
     def is_unitary(self):
         g = self.matrix
-        res = (g.adjoint() @ g) - MatrixOverAlgebra.identity(g.algebra, g.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = (g.adjoint() @ g) - MatrixOverAlgebra.identity(g.algebra, g.n)
+        if not np.all(np.isfinite(res.data)):
+            return False  # g* g overflows: g is far from unitary
         return res.op_norm() <= DEFAULT_TOL
 
     @classmethod

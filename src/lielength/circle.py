@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import graph_edges, spanning_forest
+from .algebra import graph_edges, read_only, spanning_forest
 
 SAMPLING_GUARD = 1e-12
 WINDING_INT_TOL = 1e-6
@@ -59,10 +59,8 @@ class DiscretizedSpace:
     def graph(self):
         """The SpaceGraph, read-only, built once per space by one traversal."""
         ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        graph = SpaceGraph(*ends.T, *spanning_forest(self.vertices, ends))
-        for array in graph:
-            array.flags.writeable = False
-        return graph
+        arrays = (*ends.T, *spanning_forest(self.vertices, ends))
+        return SpaceGraph(*map(read_only, arrays))
 
     @property
     def components(self):
@@ -94,7 +92,7 @@ class CircleFunction:
             raise ValueError("one phase per vertex required")
         if not np.all(np.isfinite(phase)):
             raise ValueError("phases must be finite")
-        phase = phase % 1.0
+        phase = read_only(phase % 1.0)
         object.__setattr__(self, "phase", phase)
         tails, heads = self.space.graph.tails, self.space.graph.heads
         bad = circular_distance(phase[tails], phase[heads]) >= 0.5 - SAMPLING_GUARD
@@ -134,7 +132,7 @@ class RealLift:
     base: CircleFunction
 
     def __post_init__(self):
-        value = np.asarray(self.value, dtype=float)
+        value = read_only(self.value, float)
         object.__setattr__(self, "value", value)
         wrap = np.abs((value - self.base.phase + 0.5) % 1.0 - 0.5)
         if np.max(wrap) > 1e-12:

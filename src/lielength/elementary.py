@@ -67,19 +67,17 @@ class ElementaryGenerator:
         a = self.payload.value
         algebra = self.payload.algebra
         n = self.n
-        if self.kind == "E":
-            out = MatrixOverAlgebra.identity(algebra, n)
-            out.data[self.i - 1, self.j - 1] = a
-            return out
-        if self.kind == "e":
-            return MatrixOverAlgebra.single_entry(algebra, n,
-                                                  self.i - 1, self.j - 1, a)
         if self.kind == "f":
-            out = MatrixOverAlgebra.zeros(algebra, n)
-            out.data[self.i - 1, self.i - 1] = a
-            out.data[self.j - 1, self.j - 1] = -np.asarray(a)
-            return out
-        return MatrixOverAlgebra.single_entry(algebra, n, n - 1, n - 1, a)
+            values = [algebra.zero_value()] * n
+            values[self.i - 1], values[self.j - 1] = a, -a
+            return MatrixOverAlgebra.diagonal(algebra, values)
+        if self.kind == "g":
+            return MatrixOverAlgebra.single_entry(algebra, n, n - 1, n - 1, a)
+        e = MatrixOverAlgebra.single_entry(algebra, n, self.i - 1, self.j - 1, a)
+        if self.kind == "e":
+            return e
+        # E = 1 + e is exact: the identity is 0 at (i, j), since i != j
+        return MatrixOverAlgebra.identity(algebra, n) + e
 
 
 def word_from_json(doc):
@@ -327,14 +325,14 @@ def traceless_decompose(x, ctx=None):
     for i in range(n):
         for j in range(n):
             if i != j and x.algebra.norm(x.data[i, j]) != 0.0:
-                e_coeffs[(i + 1, j + 1)] = np.copy(x.data[i, j])
+                e_coeffs[(i + 1, j + 1)] = x.data[i, j]
     f_coeffs = {}
     carry = x.algebra.zero_value()
     for k in range(n - 1):
         carry = carry + x.data[k, k]
         if x.algebra.norm(carry) != 0.0:
-            f_coeffs[(k + 1, k + 2)] = np.copy(np.asarray(carry))
-    g_coeff = np.copy(np.asarray(x.data[n - 1, n - 1] + carry))
+            f_coeffs[(k + 1, k + 2)] = carry
+    g_coeff = x.data[n - 1, n - 1] + carry
     return TracelessDecomposition(e_coeffs, f_coeffs, g_coeff, n, x.algebra)
 
 
@@ -351,11 +349,8 @@ def _torus_element(algebra, lam, slot):
     diag = [1.0, 1.0, 1.0]
     diag[active - 1] = lam
     diag[2] = 1.0 / lam
-    out = MatrixOverAlgebra.zeros(algebra, 3)
     unit = algebra.unit_value()
-    for idx, value in enumerate(diag):
-        out.data[idx, idx] = value * unit
-    return out
+    return MatrixOverAlgebra.diagonal(algebra, [value * unit for value in diag])
 
 
 def conjugation_contraction(lam, a, slot):

@@ -230,7 +230,7 @@ def _initial_certificates(g, budget, initial_factors):
     admits a log)."""
     pool = []
     if initial_factors is not None:
-        pool.append([x.copy() for x in initial_factors])
+        pool.append(list(initial_factors))
     single = None
     try:
         single = mat_log(g)
@@ -294,7 +294,7 @@ def _refine_factors(factors, g, objective, budget, rng):
     midpoint, keeping the product fixed.  Adjacent factors are merged when
     that shortens the objective."""
     unitary = g.group_tag in ("U", "Up")
-    best = [x.copy() for x in factors]
+    best = list(factors)
     best_val = objective(best)
     step = budget.init_step
     for _ in range(budget.iterations):
@@ -354,10 +354,7 @@ def _sum_norms(factors):
 
 
 def _norm_of_sum(factors):
-    total = factors[0].copy()
-    for x in factors[1:]:
-        total = total + x
-    return total.op_norm()
+    return sum(factors[1:], factors[0]).op_norm()
 
 
 def _search(g, objective, budget, seed, initial_factors):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import exp_i_selfadjoint, unitary_spectrum
+from .algebra import exp_i_selfadjoint, read_only, unitary_spectrum
 
 EXP_LIPSCHITZ_BOUND = math.e  # telescoping bound 1 + sum_k 1/(k-1)!
 
@@ -34,8 +34,8 @@ class SchattenContext:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        w = np.ones(self.dim) if self.weights is None else np.asarray(
-            self.weights, dtype=float)
+        w = read_only(np.ones(self.dim) if self.weights is None
+                      else self.weights, float)
         if w.shape != (self.dim,) or np.any(w <= 0):
             raise ValueError("weights must be positive, one per dimension")
         object.__setattr__(self, "weights", w)
@@ -60,7 +60,7 @@ class PUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = read_only(self.matrix, complex)
         if m.shape != (self.context.dim, self.context.dim):
             raise ValueError("matrix shape does not match context dimension")
         if np.linalg.norm(m.conj().T @ m - np.eye(self.context.dim)) > 1e-9:
@@ -230,8 +230,6 @@ def haagerup_witness(elements, n):
 @dataclass
 class ExpContinuityReport:
     ratios: list
-    bound: float
-    satisfied: bool
     sup_operator_norm: float
 
 
@@ -255,8 +253,7 @@ def exp_p_continuity(a, sequence, context):
             continue
         num = PUnitary.from_selfadjoint(am, context).dist_to(ua)
         ratios.append(num / denom)
-    satisfied = all(r <= EXP_LIPSCHITZ_BOUND + 1e-9 for r in ratios)
-    if not satisfied:
+    if not all(r <= EXP_LIPSCHITZ_BOUND + 1e-9 for r in ratios):
         raise AssertionError(
             f"exp ratio exceeded the telescoping bound e: {max(ratios)}")
-    return ExpContinuityReport(ratios, EXP_LIPSCHITZ_BOUND, satisfied, sup_norm)
+    return ExpContinuityReport(ratios, sup_norm)

