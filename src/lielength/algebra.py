@@ -389,9 +389,12 @@ class GroupElement:
         g = self.matrix
         if not np.all(np.isfinite(g.data)):
             raise ValueError("entries must be finite")
-        # written as not (x <= tol) so that a NaN from overflow fails them
-        res = (g @ g.inverse()) - MatrixOverAlgebra.identity(g.algebra, g.n)
-        if not (res.op_norm() <= DEFAULT_TOL * (1.0 + g.op_norm())):
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = (g @ g.inverse()) - MatrixOverAlgebra.identity(g.algebra, g.n)
+        # written as not (x <= tol) so that a NaN from overflow fails them;
+        # a non-finite residual is refused before its norm is taken
+        if not (np.all(np.isfinite(res.data))
+                and res.op_norm() <= DEFAULT_TOL * (1.0 + g.op_norm())):
             raise ValueError("matrix is not invertible within tolerance")
         if self.group_tag == "SL":
             if not g.algebra.is_commutative:
@@ -448,18 +451,20 @@ def mat_exp(x):
 
 
 def unitary_spectrum(m):
-    """Eigen-decomposition of a unitary through its Schur form: returns
-    (eigenvalues, angles, vecs) with m = vecs diag(eigenvalues) vecs*.
+    """Eigen-decomposition of a unitary, or of each unitary in a stack along
+    the leading axes, through its Schur form: returns (eigenvalues, angles,
+    vecs) with m = vecs diag(eigenvalues) vecs*.
 
     This is the one home of the principal branch: angles lie in (-pi, pi]
     and an eigenvalue at -1 is resolved to +pi.
     """
     t, z = scipy.linalg.schur(np.asarray(m).astype(np.complex128),
                               output="complex")
-    off = t - np.diag(np.diag(t))
-    if np.linalg.norm(off) > 1e-8 * max(1.0, np.linalg.norm(t)):
+    d = np.diagonal(t, axis1=-2, axis2=-1)
+    off = t - d[..., None] * np.eye(t.shape[-1])
+    size = np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))
+    if np.any(np.linalg.norm(off, axis=(-2, -1)) > 1e-8 * size):
         raise NumericFailureError("unitary input failed to diagonalize")
-    d = np.diag(t)
     theta = np.where(np.abs(d + 1.0) <= 1e-12, np.pi, np.angle(d))
     return d, theta, z
 
@@ -469,29 +474,46 @@ def exp_i_selfadjoint(lam, vecs):
     return (vecs * np.exp(1j * lam)) @ vecs.conj().T
 
 
-def _principal_log_square(m, unitary):
-    """Principal log of one plain square matrix.
+# Eigenvector condition number below which a non-unitary log is taken as
+# V diag(log w) V^{-1}, whose error grows with cond(V) (Higham, Functions of
+# Matrices, SIAM 2008, ch. 4).  Slices above it, defective ones included, go
+# to the inverse scaling and squaring of scipy.linalg.logm.
+EIG_LOG_MAX_COND = 1e6
+
+
+def _principal_logs(stack, unitary):
+    """Principal logs of a stack of plain square matrices, shape (m, N, N).
 
     Unitary input takes the branch of ``unitary_spectrum``.  Non-unitary
-    input with spectrum on the closed negative real axis is rejected.
+    input with spectrum on the closed negative real axis is rejected; the
+    first such slice names the reason.
     """
-    m = np.asarray(m)
     if unitary:
-        d, theta, z = unitary_spectrum(m)
+        d, theta, z = unitary_spectrum(stack)
         logd = np.log(np.abs(d)) + 1j * theta
-        return (z * logd) @ z.conj().T
-    eig = np.linalg.eigvals(m)
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    if np.any(np.abs(eig) <= DEFAULT_TOL * scale):
-        raise SpectrumOnCutError("singular input: 0 is in the spectrum")
-    on_cut = (eig.real <= 0) & (np.abs(eig.imag) <= DEFAULT_TOL * scale)
-    if np.any(on_cut):
+        return (z * logd[:, None, :]) @ z.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eig(stack)
+    size = np.abs(w)
+    scale = np.maximum(1.0, size.max(axis=-1, keepdims=True))
+    singular = np.any(size <= DEFAULT_TOL * scale, axis=-1)
+    on_cut = np.any((w.real <= 0) & (np.abs(w.imag) <= DEFAULT_TOL * scale),
+                    axis=-1)
+    refused = np.flatnonzero(singular | on_cut)
+    if refused.size:
+        if singular[refused[0]]:
+            raise SpectrumOnCutError("singular input: 0 is in the spectrum")
         raise SpectrumOnCutError(
             "spectrum touches the negative real axis; principal log undefined")
-    out = scipy.linalg.logm(m)
-    if not np.all(np.isfinite(out)):
+    logs = np.empty(stack.shape, dtype=np.complex128)
+    by_eig = np.linalg.cond(v) < EIG_LOG_MAX_COND
+    v_eig = v[by_eig]
+    logs[by_eig] = ((v_eig * np.log(w[by_eig])[:, None, :])
+                    @ np.linalg.inv(v_eig))
+    for i in np.flatnonzero(~by_eig):  # ill-conditioned or defective
+        logs[i] = scipy.linalg.logm(stack[i])
+    if not np.all(np.isfinite(logs)):
         raise NumericFailureError("matrix logarithm did not converge")
-    return out
+    return logs
 
 
 def mat_log(g):
@@ -504,9 +526,8 @@ def mat_log(g):
     mat = g.matrix
     unitary = g.group_tag in ("U", "Up") or g.is_unitary()
     flat = mat.to_flat()
-    squares = flat.reshape((-1,) + flat.shape[-2:])
-    logs = np.stack([_principal_log_square(m, unitary)
-                     for m in squares]).reshape(flat.shape)
+    logs = _principal_logs(flat.reshape((-1,) + flat.shape[-2:]),
+                           unitary).reshape(flat.shape)
     if mat.algebra.kind == SCALAR_REAL:
         if np.max(np.abs(np.imag(logs))) > 1e-9:
             raise SpectrumOnCutError(

@@ -3,14 +3,16 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lielength as ll
-from lielength import algebra
+from lielength import acceptance, algebra
 
 RNG = np.random.default_rng(42)
 
@@ -161,6 +163,80 @@ def test_exp_log_round_trip(alg):
         assert g.matrix.op_norm() <= math.exp(x.op_norm()) * (1 + 1e-9)
         back = ll.mat_log(g)
         assert (back - x).op_norm() <= 1e-7
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.sampled_from(ALGEBRAS), st.integers(1, 3), st.floats(0.05, 1.0),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_mat_log_matches_per_slice_logm(alg, n, scale, unitary, seed):
+    """The batched log agrees with scipy's logm slice by slice, on the eig
+    path and on the unitary branch, wherever the spectrum is off the cut
+    (|X| < pi keeps every eigenvalue of exp(X) off it)."""
+    rng = np.random.default_rng(seed)
+    x = ll.MatrixOverAlgebra.random(alg, n, rng, scale=scale)
+    if unitary:
+        x = (x - x.adjoint()).scaled(0.5)
+    if x.op_norm() > 3.0:
+        x = x.scaled(3.0 / x.op_norm())
+    g = ll.GroupElement(ll.mat_exp(x).matrix, "GL")
+    flat = g.matrix.to_flat()
+    log = ll.mat_log(g).to_flat()
+    stack = flat.reshape((-1,) + flat.shape[-2:])
+    expected = np.stack([scipy.linalg.logm(m) for m in stack])
+    expected = expected.reshape(flat.shape)
+    assert (np.max(np.abs(log - expected))
+            <= 1e-12 * (1.0 + np.max(np.abs(expected))))
+
+
+def test_defective_slice_takes_the_logm_fallback(logm_inputs):
+    """A Jordan block has no eigenbasis: only its vertex goes to logm, the
+    others take the eig path."""
+    alg = ll.function_algebra(3, [(0, 1), (1, 2)])
+    rng = np.random.default_rng(11)
+    good = ll.mat_exp(ll.MatrixOverAlgebra.random(alg, 2, rng, scale=0.3))
+    data = np.array(good.matrix.data)
+    data[:, :, 1] = [[1.0, 1.0], [0.0, 1.0]]
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, data), "GL")
+    log = ll.mat_log(g)
+    assert len(logm_inputs) == 1
+    assert np.array_equal(logm_inputs[0], [[1.0, 1.0], [0.0, 1.0]])
+    assert np.max(np.abs(log.data[:, :, 1] - [[0.0, 1.0], [0.0, 0.0]])) <= 1e-12
+    for v in (0, 2):
+        expected = scipy.linalg.logm(data[:, :, v])
+        assert np.max(np.abs(log.data[:, :, v] - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("first, message", [
+    ("singular", "singular input"),
+    ("on_cut", "negative real axis"),
+])
+def test_first_refused_slice_names_the_reason(first, message):
+    """One singular vertex and one vertex on the cut: the first of them in
+    the stack gives the error, as a slice-by-slice log would."""
+    slices = {"singular": np.diag([0.0, 1.0]), "on_cut": np.diag([-2.0, 1.0])}
+    second = "on_cut" if first == "singular" else "singular"
+    data = np.stack([slices[first], slices[second]], axis=-1)
+    mat = ll.MatrixOverAlgebra(ll.function_algebra(2, [(0, 1)]), data)
+    with pytest.raises(ll.SpectrumOnCutError, match=message):
+        ll.mat_log(ll.GroupElement(mat, "GL", validate=False))
+
+
+def test_mat_log_ignores_the_global_generator():
+    g = acceptance.random_gl(3, np.random.default_rng(5))
+    np.random.seed(0)
+    first = ll.mat_log(g).data.tobytes()
+    np.random.seed(12345)
+    np.random.random(17)
+    assert ll.mat_log(g).data.tobytes() == first
+
+
+def test_invariant_check_refuses_an_overflowing_residual():
+    mat = ll.MatrixOverAlgebra(ll.matrix_algebra(2),
+                               [[[[1e300, 1e300], [0, 1e-300]]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not invertible within tolerance"):
+            ll.GroupElement(mat, "GL")
 
 
 def test_group_element_invariants():

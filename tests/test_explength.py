@@ -2,6 +2,7 @@
 pseudo-length certificate algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,29 @@ def test_estimate_deterministic_for_fixed_seed():
     a = ll.el_estimate(g, seed=11)
     b = ll.el_estimate(g, seed=11)
     assert a.upper == b.upper and a.lower == b.lower
+
+
+def test_estimate_near_the_float_range_warns_nothing():
+    """Entries of 1e160: every log along the search is taken and checked
+    without a warning, and the bracket keeps its frozen values."""
+    mat = ll.MatrixOverAlgebra(ll.matrix_algebra(2),
+                               [[[[1e160, 1e160], [1e160, -1e160]]]])
+    g = ll.GroupElement(mat, "GL")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bracket = ll.el_estimate(g, seed=0)
+    assert bracket.lower == pytest.approx(368.76018846932726, rel=1e-12)
+    assert bracket.upper == pytest.approx(368.77357037121675, rel=1e-12)
+
+
+def test_cli_samples_never_reach_the_logm_fallback(logm_inputs):
+    """The draws behind `el bracket --group gl3 --seed 1` and `rel estimate
+    --group gl2 --seed 3` take every log through the eigen-decomposition."""
+    gl3 = acceptance.random_gl(3, np.random.default_rng(1))
+    ll.el_estimate(gl3, seed=1)
+    gl2 = acceptance.random_gl(2, np.random.default_rng(3))
+    ll.rel_estimate(gl2, seed=3)
+    assert logm_inputs == []
 
 
 def test_estimate_outside_identity_component_raises():
