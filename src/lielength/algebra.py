@@ -19,6 +19,7 @@ brackets every quantity derived from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,11 +221,12 @@ class MatrixOverAlgebra:
     Data layout: scalar algebras store (n, n); the matrix(k) algebra stores
     (n, n, k, k); function algebras store (n, n, V).  Entry (i, j) is
     ``data[i, j]`` in all cases.  ``data`` is a read-only view: every
-    operation builds a new matrix.
+    operation builds a new matrix, and no attribute can be rebound.
     """
 
+    __slots__ = ("algebra", "data", "n")
+
     def __init__(self, algebra, data):
-        self.algebra = algebra
         data = read_only(data, algebra.dtype)
         expected_ndim = 2 + len(algebra.value_shape())
         if data.ndim != expected_ndim or data.shape[0] != data.shape[1]:
@@ -232,8 +234,16 @@ class MatrixOverAlgebra:
         if data.shape[2:] != algebra.value_shape():
             raise ValueError(
                 f"entry shape {data.shape[2:]} does not match algebra")
-        self.data = data
-        self.n = data.shape[0]
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "n", data.shape[0])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: the matrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete {name!r}: the matrix is immutable")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -458,8 +468,13 @@ def unitary_spectrum(m):
     This is the one home of the principal branch: angles lie in (-pi, pi]
     and an eigenvalue at -1 is resolved to +pi.
     """
-    t, z = scipy.linalg.schur(np.asarray(m).astype(np.complex128),
-                              output="complex")
+    m = np.asarray(m).astype(np.complex128)
+    if m.ndim > 2 and math.prod(m.shape[:-2]) == 1:
+        # One slice: the 2-D call skips scipy's batching wrapper.
+        t, z = scipy.linalg.schur(m.reshape(m.shape[-2:]), output="complex")
+        t, z = t.reshape(m.shape), z.reshape(m.shape)
+    else:
+        t, z = scipy.linalg.schur(m, output="complex")
     d = np.diagonal(t, axis1=-2, axis2=-1)
     off = t - d[..., None] * np.eye(t.shape[-1])
     size = np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))

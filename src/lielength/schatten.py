@@ -40,16 +40,33 @@ class SchattenContext:
             raise ValueError("weights must be positive, one per dimension")
         object.__setattr__(self, "weights", w)
 
+    def __eq__(self, other):
+        if not isinstance(other, SchattenContext):
+            return NotImplemented
+        return (self.dim == other.dim and self.p == other.p
+                and np.array_equal(self.weights, other.weights))
+
 
 def p_norm(a, context):
     """Weighted Schatten p-norm via the singular spectrum: with |a| = V S V*,
-    |a|_p^p = sum_j (sum_i w_i |V_ij|^2) s_j^p."""
+    |a|_p^p = sum_j (sum_i w_i |V_ij|^2) s_j^p.
+
+    ``a`` is one matrix, whose norm is returned as a float, or a stack of
+    matrices along the leading axes, whose norms are returned as an array of
+    the stack's shape, each equal to the norm of its matrix alone.
+    """
     a = np.asarray(a, dtype=complex)
-    gram = a.conj().T @ a
+    gram = np.swapaxes(a.conj(), -2, -1) @ a
     s2, vecs = np.linalg.eigh(gram)
     s = np.sqrt(np.clip(s2, 0.0, None))
     vertex_weights = context.weights @ (np.abs(vecs) ** 2)
-    return float(np.sum(vertex_weights * s ** context.p) ** (1.0 / context.p))
+    sums = np.sum(vertex_weights * s ** context.p, axis=-1)
+    root = 1.0 / context.p
+    if sums.ndim == 0:
+        return float(sums ** root)
+    # The root is taken on each float64 scalar: the array power may round
+    # differently in the last bit.
+    return np.array([t ** root for t in sums.ravel()]).reshape(sums.shape)
 
 
 @dataclass(frozen=True)
@@ -123,9 +140,9 @@ def sandwich_check(a, context, slack=1e-9):
     if np.max(np.abs(lam)) > math.pi + 1e-12:
         raise ValueError("spectrum outside [-pi, pi]")
     u = PUnitary.from_selfadjoint(a, context)
-    lhs = 0.5 * p_norm(a, context)
-    mid = u.dist_to_identity()
     rhs = p_norm(a, context)
+    lhs = 0.5 * rhs
+    mid = u.dist_to_identity()
     if not (lhs <= mid + slack and mid <= rhs + slack):
         raise AssertionError(
             f"sandwich violated: {lhs} <= {mid} <= {rhs} fails")
@@ -149,8 +166,7 @@ def coarse_proper_chain(u, delta_cap, step):
         return [one, u]
     k = math.floor(max(math.pi / step, 2.0 * delta_cap / step)) + 1
     chain = _subdivided_chain(u, k)
-    steps = [chain[j].dist_to(chain[j + 1]) for j in range(k)]
-    if max(steps) >= step:
+    if max(_step_lengths(chain)) >= step:
         raise AssertionError("subdivided chain exceeded the step bound")
     return chain
 
@@ -163,6 +179,12 @@ def _subdivided_chain(u, k):
         m = exp_i_selfadjoint(lam * (j / k), vecs)
         chain.append(PUnitary(u.context, m))
     return chain
+
+
+def _step_lengths(chain):
+    """d(u_j, u_{j+1}) along a chain of two or more elements, as floats."""
+    mats = np.stack([v.matrix for v in chain])
+    return p_norm(mats[:-1] - mats[1:], chain[0].context).tolist()
 
 
 @dataclass
@@ -190,7 +212,7 @@ def geodesic_chain(u):
     anorm = p_norm(a, u.context)
     n = 1 if anorm <= 1.0 else math.ceil(anorm / 2.0)
     chain = _subdivided_chain(u, n)
-    steps = [chain[j].dist_to(chain[j + 1]) for j in range(n)]
+    steps = _step_lengths(chain)
     report = GeodesicChainReport(chain, steps, float(sum(steps)), d0)
     if max(steps) > 2.0 + 1e-9 or report.sum_of_steps > 2.0 * d0 + 1e-9:
         raise AssertionError("geodesic chain violated the constant-2 bounds")
@@ -217,12 +239,20 @@ def haagerup_witness(elements, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not elements:
+        raise ValueError("the witness needs at least one element")
+    context = elements[0].context
+    if any(g.context != context for g in elements):
+        raise ValueError("the elements do not share one SchattenContext")
+    # d(g_i, g_j) = d(g_j, g_i) exactly, as (-a)* (-a) = a* a bit for bit,
+    # and d(g, g) = 0: one stacked norm per row fills both triangles.
+    mats = np.stack([g.matrix for g in elements])
     m = len(elements)
-    gram = np.empty((m, m))
-    for i, gi in enumerate(elements):
-        for j, gj in enumerate(elements):
-            d = gi.dist_to(gj)
-            gram[i, j] = math.exp(-(d * d) / n)
+    gram = np.eye(m)
+    for i in range(m - 1):
+        dists = p_norm(mats[i] - mats[i + 1:], context)
+        for j, d in enumerate(dists.tolist(), start=i + 1):
+            gram[i, j] = gram[j, i] = math.exp(-(d * d) / n)
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))))
     return gram, min_eig
 

@@ -272,6 +272,17 @@ def test_matrix_data_is_read_only(alg):
     data[0, 0] = alg.unit_value()  # the caller's array is not frozen
 
 
+def test_matrix_attributes_cannot_be_rebound():
+    m = ll.MatrixOverAlgebra.identity(ll.scalar_complex(), 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        m.data = np.zeros((2, 2))
+    with pytest.raises(AttributeError, match="immutable"):
+        m.n = 3
+    with pytest.raises(AttributeError, match="immutable"):
+        del m.algebra
+    assert m.n == 2 and np.array_equal(m.data, np.eye(2))
+
+
 def test_group_element_is_frozen():
     g = ll.GroupElement.identity(ll.scalar_complex(), 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -387,3 +398,18 @@ def test_flat_path_matches_entrywise_definitions(alg):
     per_value = [[alg.norm(v) for v in row] for row in stack]
     assert np.array_equal(alg.norm(stack), per_value)
     assert x.entry_norms().shape == (n, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_one_slice_spectrum_equals_the_stacked_one(k):
+    """A one-slice stack takes the 2-D Schur call; its result is the same
+    as that slice's inside a longer stack."""
+    rng = np.random.default_rng(k)
+    stack = np.stack([
+        acceptance.random_unitary(k, rng).matrix.data[0, 0]
+        for _ in range(3)])
+    for i in range(3):
+        one = algebra.unitary_spectrum(stack[i:i + 1])
+        for got, stacked in zip(one, algebra.unitary_spectrum(stack)):
+            assert got.shape[0] == 1
+            assert np.array_equal(got[0], stacked[i])

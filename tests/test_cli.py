@@ -213,6 +213,15 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, command, write):
     assert "Traceback" not in captured.err
 
 
+def test_empty_witness_set_exits_2_with_one_line(capsys):
+    assert run(["schatten", "witness", "--dim", "3", "--samples", "0",
+                "--index", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lielength: error: the witness needs at least one element\n")
+
+
 def test_tol_belongs_to_el_and_rel():
     assert cli.build_parser().parse_args(
         ["rel", "estimate", "--tol", "0.5"]).tol == 0.5

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lielength as ll
 from lielength import schatten
@@ -22,6 +24,24 @@ def test_p_norm_weighted_diagonal():
     ctx = ll.SchattenContext(2, 2, weights=np.array([2.0, 0.5]))
     value = ll.p_norm(np.diag([1.0, 2.0]), ctx)
     assert value == pytest.approx(math.sqrt(2 * 1 + 0.5 * 4), abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.sampled_from([1, 2, 3.5]), st.integers(1, 8), st.booleans(),
+       st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+       st.integers(0, 2**32 - 1))
+def test_stacked_p_norm_equals_each_matrix_alone(p, dim, weighted, shape,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 3.0, dim) if weighted else None
+    ctx = ll.SchattenContext(dim, p, weights=weights)
+    stack = (rng.standard_normal(shape + (dim, dim))
+             + 1j * rng.standard_normal(shape + (dim, dim)))
+    norms = ll.p_norm(stack, ctx)
+    assert norms.shape == shape
+    for index in np.ndindex(*shape):
+        alone = ll.p_norm(stack[index], ctx)
+        assert type(alone) is float and norms[index] == alone
 
 
 def test_sandwich_fixtures():
@@ -249,6 +269,47 @@ def test_haagerup_witness_random_psd():
     for n in (1, 10):
         _, min_eig = ll.haagerup_witness(elements, n)
         assert min_eig >= -1e-8
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.sampled_from([1, 2, 3.5]), st.integers(1, 6), st.integers(1, 12),
+       st.booleans(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_haagerup_gram_equals_the_pairwise_reference(p, dim, count, weighted,
+                                                     n, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 3.0, dim) if weighted else None
+    ctx = ll.SchattenContext(dim, p, weights=weights)
+    elements = [schatten.random_punitary(ctx, rng) for _ in range(count)]
+    gram, _ = ll.haagerup_witness(elements, n)
+    dists = [[gi.dist_to(gj) for gj in elements] for gi in elements]
+    reference = np.array([[math.exp(-(d * d) / n) for d in row]
+                          for row in dists])
+    assert np.array_equal(gram, reference)
+    assert np.array_equal(gram, gram.T)
+    assert np.all(np.diagonal(gram) == 1.0)
+
+
+def test_haagerup_witness_needs_an_element():
+    with pytest.raises(ValueError, match="at least one element"):
+        ll.haagerup_witness([], 1)
+
+
+@pytest.mark.parametrize("other", [
+    ll.SchattenContext(2, 1),
+    ll.SchattenContext(2, 2, weights=np.array([1.0, 2.0])),
+    ll.SchattenContext(3, 2),
+], ids=["p", "weights", "dim"])
+def test_haagerup_witness_rejects_mixed_contexts(other):
+    first = schatten.PUnitary.identity(ll.SchattenContext(2, 2))
+    with pytest.raises(ValueError, match="share one SchattenContext"):
+        ll.haagerup_witness([first, schatten.PUnitary.identity(other)], 1)
+
+
+def test_haagerup_witness_accepts_equal_contexts():
+    elements = [schatten.PUnitary.identity(ll.SchattenContext(2, 2))
+                for _ in range(2)]
+    gram, _ = ll.haagerup_witness(elements, 1)
+    assert np.array_equal(gram, np.ones((2, 2)))
 
 
 # -- continuity of the exponential ----------------------------------------------
