@@ -200,7 +200,7 @@ def function_algebra(vertices, edges=()):
     return BanachAlgebra(FUNCTIONS, vertices=vertices, edges=edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """An element of a Banach algebra together with its parent algebra."""
 

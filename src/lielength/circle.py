@@ -79,7 +79,7 @@ def nearest_increment(s, t):
     return np.where(d >= 0.5, d - 1.0, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleFunction:
     """Phases in [0, 1) on the vertices of a discretized space."""
 
@@ -122,7 +122,7 @@ class CircleFunction:
         return cls(space, np.asarray(doc["phase"], dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealLift:
     """A real-valued lift of a circle function: value mod 1 equals the phase
     at every vertex and edge increments are the nearest representatives."""

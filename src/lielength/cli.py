@@ -185,7 +185,6 @@ def _cmd_schatten(args):
         _write_result(doc if args.format == "json" else doc["rows"],
                       args.out, args.format)
         return 0 if ok else 1
-    raise SystemExit(f"unknown schatten action {args.action!r}")
 
 
 def _cmd_en(args):
@@ -242,7 +241,6 @@ def _cmd_en(args):
         _write_result(doc, args.out, args.format)
         ok = abs(bracket.lower - math.log(args.m + 1)) <= 1e-12
         return 0 if ok else 1
-    raise SystemExit(f"unknown en action {args.action!r}")
 
 
 def _cmd_coarse(args):
@@ -276,6 +274,17 @@ def _cmd_suite(args):
     return 0 if all(r["passed"] for r in reports) else 1
 
 
+def _finite_float(text):
+    """argparse type of every float option: NaN and inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lielength",
@@ -293,7 +302,7 @@ def build_parser():
     p_el.add_argument("--input", default=None,
                       help="JSON group element instead of a named sample")
     p_el.add_argument("--no-optimize", action="store_true")
-    p_el.add_argument("--tol", type=float, default=1e-9)
+    p_el.add_argument("--tol", type=_finite_float, default=1e-9)
     common(p_el)
     p_el.set_defaults(fn=_cmd_el)
 
@@ -302,7 +311,7 @@ def build_parser():
     p_rel.add_argument("--group", default="gl2")
     p_rel.add_argument("--input", default=None)
     p_rel.add_argument("--no-optimize", action="store_true")
-    p_rel.add_argument("--tol", type=float, default=1e-9)
+    p_rel.add_argument("--tol", type=_finite_float, default=1e-9)
     common(p_rel)
     p_rel.set_defaults(fn=_cmd_rel)
 
@@ -310,7 +319,7 @@ def build_parser():
     p_tr.add_argument("--dim", type=int, default=2)
     p_tr.add_argument("--subdivisions", type=int, nargs="+",
                       default=[16, 32, 64, 128])
-    p_tr.add_argument("--bound", type=float, default=4.0)
+    p_tr.add_argument("--bound", type=_finite_float, default=4.0)
     common(p_tr)
     p_tr.set_defaults(fn=_cmd_trotter)
 
@@ -323,9 +332,9 @@ def build_parser():
     p_s = sub.add_parser("schatten", help="p-unitary experiments")
     p_s.add_argument("action", choices=("sandwich", "chain", "witness"))
     p_s.add_argument("--dim", type=int, default=4)
-    p_s.add_argument("--p", type=float, default=2.0)
+    p_s.add_argument("--p", type=_finite_float, default=2.0)
     p_s.add_argument("--samples", type=int, default=100)
-    p_s.add_argument("--step", type=float, default=1.0)
+    p_s.add_argument("--step", type=_finite_float, default=1.0)
     p_s.add_argument("--index", type=int, nargs="+", default=[1, 10])
     common(p_s)
     p_s.set_defaults(fn=_cmd_schatten)

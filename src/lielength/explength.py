@@ -222,7 +222,7 @@ def _polar_certificate(g):
     return [_try_log(w, "U"), _try_log(p, "GL")]
 
 
-def _initial_certificates(g, budget, initial_factors):
+def _initial_certificates(g, initial_factors):
     """Candidate factorizations: caller-supplied factors, the single-factor
     principal log when admissible, its subdivisions, a rotated-branch single
     factor, the polar two-factor split, and logs along the linear
@@ -231,16 +231,13 @@ def _initial_certificates(g, budget, initial_factors):
     pool = []
     if initial_factors is not None:
         pool.append(list(initial_factors))
-    single = None
     try:
         single = mat_log(g)
-        pool.append([single])
     except (SpectrumOnCutError, NumericFailureError):
         pass
-    if single is not None:
-        for k in (2, 4):
-            if k <= budget.max_factors:
-                pool.append([single.scaled(1.0 / k) for _ in range(k)])
+    else:
+        pool.append([single])
+        pool.extend([single.scaled(1.0 / k) for _ in range(k)] for k in (2, 4))
         return pool
     for fallback in (_rotated_log_certificate, _polar_certificate):
         try:
@@ -250,16 +247,14 @@ def _initial_certificates(g, budget, initial_factors):
             pass
     ident = MatrixOverAlgebra.identity(g.algebra, g.n)
     k = 2
-    while k <= budget.max_factors:
+    while k <= EstimateBudget.max_factors:
         try:
             factors = []
             prev = ident
             for j in range(1, k + 1):
                 t = j / k
                 point = ident.scaled(1.0 - t) + g.matrix.scaled(t)
-                step = GroupElement(prev.inverse() @ point, "GL",
-                                    validate=False)
-                factors.append(mat_log(step))
+                factors.append(_try_log(prev.inverse() @ point))
                 prev = point
             pool.append(factors)
             break
@@ -272,9 +267,9 @@ def _initial_certificates(g, budget, initial_factors):
             raise NoFactorizationError(
                 "det < 0: the element is outside the identity component")
         raise NoFactorizationError(
-            f"every path step left the log domain up to {budget.max_factors} "
-            "factors: the search budget or the floating-point range of "
-            "exp/log is exhausted")
+            "every path step left the log domain up to "
+            f"{EstimateBudget.max_factors} factors: the search budget or the "
+            "floating-point range of exp/log is exhausted")
     return pool
 
 
@@ -290,63 +285,50 @@ def _random_direction(algebra, n, rng, unitary):
 
 def _refine_factors(factors, g, objective, budget, rng):
     """Derivative-free coordinate descent over the interior split points:
-    each move re-splits one adjacent pair of factors through a perturbed
-    midpoint, keeping the product fixed.  Adjacent factors are merged when
-    that shortens the objective."""
-    unitary = g.group_tag in ("U", "Up")
+    each sweep merges the first adjacent pair whose merge shortens the
+    objective, then re-splits each pair through a perturbed midpoint, keeping
+    the product fixed.  exps[i] = exp(best[i]) is computed once per factor."""
+    tag = "U" if g.group_tag in ("U", "Up") else "GL"
     best = list(factors)
     best_val = objective(best)
+    exps = [mat_exp(x).matrix for x in best]
     step = budget.init_step
     for _ in range(budget.iterations):
         improved = False
-        # merge pass
-        if len(best) > 1:
-            merged = _merge_pass(best, best_val, objective)
-            if merged is not None:
-                best, best_val = merged
-                improved = True
-        # re-split pass
         for i in range(len(best) - 1):
-            first = mat_exp(best[i]).matrix
-            pair_product = first @ mat_exp(best[i + 1]).matrix
+            try:
+                merged = _try_log(exps[i] @ exps[i + 1])
+            except (SpectrumOnCutError, NumericFailureError):
+                continue
+            candidate = best[:i] + [merged] + best[i + 2:]
+            val = objective(candidate)
+            if val < best_val - 1e-12:
+                best, best_val, improved = candidate, val, True
+                exps[i:i + 2] = [mat_exp(merged).matrix]
+                break
+        for i in range(len(best) - 1):
+            pair_product = exps[i] @ exps[i + 1]
             for _ in range(budget.trials):
-                direction = _random_direction(g.algebra, g.n, rng, unitary)
+                direction = _random_direction(g.algebra, g.n, rng, tag == "U")
                 if direction is None:
                     continue
-                mid = first @ mat_exp(direction.scaled(step)).matrix
+                mid = exps[i] @ mat_exp(direction.scaled(step)).matrix
                 try:
-                    x_new = _try_log(mid, "U" if unitary else "GL")
-                    y_new = _try_log(mid.inverse() @ pair_product,
-                                     "U" if unitary else "GL")
+                    x_new = _try_log(mid, tag)
+                    y_new = _try_log(mid.inverse() @ pair_product, tag)
                 except (SpectrumOnCutError, NumericFailureError):
                     continue
                 candidate = best[:i] + [x_new, y_new] + best[i + 2:]
                 val = objective(candidate)
                 if val < best_val - 1e-12:
                     best, best_val, improved = candidate, val, True
+                    exps[i:i + 2] = [mat_exp(y).matrix for y in (x_new, y_new)]
                     break
         if not improved:
             step *= 0.5
             if step < budget.min_step:
                 break
     return best, best_val
-
-
-def _merge_pass(factors, value, objective):
-    """First merge of an adjacent pair that shortens the objective below
-    ``value`` (the objective of ``factors``), as (factors, objective value),
-    or None."""
-    for i in range(len(factors) - 1):
-        prod = mat_exp(factors[i]).matrix @ mat_exp(factors[i + 1]).matrix
-        try:
-            merged = _try_log(prod)
-        except (SpectrumOnCutError, NumericFailureError):
-            continue
-        candidate = factors[:i] + [merged] + factors[i + 2:]
-        val = objective(candidate)
-        if val < value - 1e-12:
-            return candidate, val
-    return None
 
 
 def _sum_norms(factors):
@@ -357,8 +339,7 @@ def _norm_of_sum(factors):
     return sum(factors[1:], factors[0]).op_norm()
 
 
-def _search(g, objective, budget, seed, initial_factors):
-    pool = _initial_certificates(g, budget, initial_factors)
+def _search(g, pool, objective, budget, seed):
     candidates = [(objective(f), f) for f in pool]
     candidates.sort(key=lambda t: t[0])
     results = list(candidates)
@@ -383,7 +364,7 @@ def el_estimate(g, budget=None, seed=0):
     bound is returned inside the bracket.
     """
     budget = budget or EstimateBudget()
-    cert = _search(g, _sum_norms, budget, seed, None)
+    cert = _search(g, _initial_certificates(g, None), _sum_norms, budget, seed)
     return ElBracket(el_lower_bound(g), cert.sum_of_norms, cert)
 
 
@@ -391,12 +372,12 @@ def rel_estimate(g, budget=None, seed=0, initial_factors=None):
     """Upper bound for the reduced length: minimal |sum X_i| over the same
     certificate family the el search explores, including the certificate
     that wins the el objective (so rel <= el upper holds on the shared
-    pool)."""
+    pool).  Both searches start from one pool."""
     budget = budget or EstimateBudget()
-    cert = _search(g, _norm_of_sum, budget, seed, initial_factors)
-    value = cert.norm_of_sum
+    pool = _initial_certificates(g, initial_factors)
+    value = _search(g, pool, _norm_of_sum, budget, seed).norm_of_sum
     if budget.optimize:
-        el_cert = _search(g, _sum_norms, budget, seed, initial_factors)
+        el_cert = _search(g, pool, _sum_norms, budget, seed)
         value = min(value, el_cert.norm_of_sum)
     return value
 

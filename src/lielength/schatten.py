@@ -25,19 +25,21 @@ EXP_LIPSCHITZ_BOUND = math.e  # telescoping bound 1 + sum_k 1/(k-1)!
 
 @dataclass(frozen=True)
 class SchattenContext:
-    """Hilbert dimension, exponent p >= 1, and positive trace weights."""
+    """Hilbert dimension >= 1, finite exponent p >= 1, positive trace weights."""
 
     dim: int
     p: float
     weights: np.ndarray = None
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         w = read_only(np.ones(self.dim) if self.weights is None
                       else self.weights, float)
-        if w.shape != (self.dim,) or np.any(w <= 0):
-            raise ValueError("weights must be positive, one per dimension")
+        if w.shape != (self.dim,) or not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("weights must be finite, positive, one per dim")
         object.__setattr__(self, "weights", w)
 
     def __eq__(self, other):
@@ -45,6 +47,9 @@ class SchattenContext:
             return NotImplemented
         return (self.dim == other.dim and self.p == other.p
                 and np.array_equal(self.weights, other.weights))
+
+    def __hash__(self):
+        return hash((self.dim, self.p, self.weights.tobytes()))
 
 
 def p_norm(a, context):
@@ -69,7 +74,7 @@ def p_norm(a, context):
     return np.array([t ** root for t in sums.ravel()]).reshape(sums.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PUnitary:
     """A unitary in the p-Schatten unitary group of its context."""
 
@@ -156,6 +161,8 @@ def coarse_proper_chain(u, delta_cap, step):
     k is the smallest admissible count: 1 when a single step suffices, else
     the least integer exceeding max(pi/step, 2*delta_cap/step).
     """
+    if not step > 0:
+        raise ValueError(f"step must be > 0, got {step}")
     d0 = u.dist_to_identity()
     if not d0 < delta_cap:
         raise ValueError(f"d(u,1) = {d0} is not below delta_cap = {delta_cap}")

@@ -298,6 +298,28 @@ def test_value_arrays_are_read_only():
             array[...] = 0
 
 
+def test_value_equality_is_identity_or_value_and_never_raises():
+    """``==`` on a value holding an array is identity; contexts, algebras
+    and spaces compare and hash by value."""
+    ctx = ll.SchattenContext(2, 2)
+    space = ll.DiscretizedSpace(2, [(0, 1)])
+    f = ll.CircleFunction(space, [0.1, 0.2])
+    values = (ll.AlgebraElement(ll.scalar_complex(), 1.0), f,
+              ll.unwrap(f), ll.PUnitary.identity(ctx))
+    for value in values:
+        twin = dataclasses.replace(value)
+        assert value == value and value != twin
+        assert len({value, twin}) == 2
+    weights = np.array([1.0, 2.0])
+    assert ll.SchattenContext(2, 2, weights) == ll.SchattenContext(
+        2, 2.0, weights.copy())
+    assert ll.SchattenContext(2, 2) != ll.SchattenContext(2, 2, weights)
+    assert len({ctx, ll.SchattenContext(2, 2),
+                ll.SchattenContext(2, 2, weights), ll.scalar_complex(),
+                ll.scalar_complex(), space,
+                ll.DiscretizedSpace(2, [(0, 1)])}) == 4
+
+
 def test_function_algebra_components():
     alg = ll.function_algebra(5, [(0, 1), (3, 4)])
     assert alg.components() == [0, 0, 1, 2, 2]

@@ -227,3 +227,30 @@ def test_tol_belongs_to_el_and_rel():
         ["rel", "estimate", "--tol", "0.5"]).tol == 0.5
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["trotter", "--tol", "0.5"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["schatten", "chain", "--step", "0"], "step must be > 0"),
+    (["schatten", "chain", "--step", "-1"], "step must be > 0"),
+    (["schatten", "chain", "--step", "nan"], "--step: 'nan' is not a finite"),
+    (["schatten", "chain", "--dim", "0"], "dim must be >= 1"),
+    (["schatten", "sandwich", "--p", "nan", "--samples", "2"],
+     "--p: 'nan' is not a finite"),
+    (["schatten", "chain", "--p", "inf"], "--p: 'inf' is not a finite"),
+    (["el", "estimate", "--group", "gl2", "--tol", "nan", "--no-optimize"],
+     "--tol: 'nan' is not a finite"),
+    (["rel", "estimate", "--group", "gl2", "--tol", "nan", "--no-optimize"],
+     "--tol: 'nan' is not a finite"),
+    (["trotter", "--bound", "nan"], "--bound: 'nan' is not a finite"),
+], ids=["step-0", "step-negative", "step-nan", "dim-0", "sandwich-p-nan",
+        "chain-p-inf", "el-tol-nan", "rel-tol-nan", "trotter-bound-nan"])
+def test_bad_numbers_exit_2_naming_the_constraint(capsys, argv, message):
+    try:
+        status = run(argv)
+    except SystemExit as exc:  # argparse's usage error
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err

@@ -243,6 +243,44 @@ def test_rel_below_el_on_shared_pools():
         assert rel <= upper + 1e-9
 
 
+def test_refine_exponentiates_each_factor_once(monkeypatch):
+    """The sweep keeps exp of every factor in its list: each factor object,
+    the starting ones and those that an accepted move brings in, is
+    exponentiated at most once."""
+    g = acceptance.random_gl(2, np.random.default_rng(4))
+    x = ll.mat_log(g)
+    seen = []
+
+    def recorded(y):
+        seen.append(y)
+        return ll.mat_exp(y)
+
+    monkeypatch.setattr(explength, "mat_exp", recorded)
+    budget = ll.EstimateBudget(restarts=1, iterations=5, trials=3)
+    refined, value = explength._refine_factors(
+        [x.scaled(0.5), x.scaled(0.5)], g, explength._sum_norms, budget,
+        np.random.default_rng(0))
+    assert len({id(y) for y in seen}) == len(seen)
+    assert value < x.op_norm()
+    assert explength.FactorizationCertificate.from_factors(
+        refined, g).residual < 1e-10
+
+
+def test_optimized_rel_builds_one_pool(monkeypatch):
+    calls = []
+    initial = explength._initial_certificates
+
+    def recorded(*args):
+        calls.append(args)
+        return initial(*args)
+
+    monkeypatch.setattr(explength, "_initial_certificates", recorded)
+    g = acceptance.random_gl(2, np.random.default_rng(3))
+    budget = ll.EstimateBudget(restarts=1, iterations=1, trials=1)
+    ll.rel_estimate(g, budget=budget, seed=0)
+    assert len(calls) == 1
+
+
 # -- certificates -----------------------------------------------------------------
 
 def test_certificate_inverse_preserves_sum():

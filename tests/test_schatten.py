@@ -159,6 +159,32 @@ def test_coarse_proper_chain_requires_radius():
         ll.coarse_proper_chain(u, u.dist_to_identity() / 2, 1.0)
 
 
+@pytest.mark.parametrize("dim, p, match", [
+    (0, 2.0, "dim must be >= 1"),
+    (2, 0.5, "p must be finite and >= 1"),
+    (2, math.nan, "p must be finite and >= 1"),
+    (2, math.inf, "p must be finite and >= 1"),
+])
+def test_context_refuses_bad_dim_and_p(dim, p, match):
+    with pytest.raises(ValueError, match=match):
+        ll.SchattenContext(dim, p)
+
+
+@pytest.mark.parametrize("weights", [[1.0, math.nan], [1.0, math.inf],
+                                     [1.0, 0.0]])
+def test_context_refuses_bad_weights(weights):
+    with pytest.raises(ValueError, match="finite, positive"):
+        ll.SchattenContext(2, 2, weights=np.array(weights))
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+def test_coarse_proper_chain_refuses_a_step_not_above_zero(step):
+    u = schatten.random_punitary(ll.SchattenContext(2, 2),
+                                 np.random.default_rng(7))
+    with pytest.raises(ValueError, match="step must be > 0"):
+        ll.coarse_proper_chain(u, u.dist_to_identity() + 1.0, step)
+
+
 def test_geodesic_chain_identity_is_empty():
     ctx = ll.SchattenContext(3, 2)
     report = ll.geodesic_chain(schatten.PUnitary.identity(ctx))
