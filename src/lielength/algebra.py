@@ -215,6 +215,39 @@ class AlgebraElement:
         object.__setattr__(self, "value", v)
 
 
+def stack_to_flat(algebra, data):
+    """Matrix data, (n, n) + entry shape, as the plain square matrices on
+    which every product, adjoint, exp/log, inverse and det acts: (n, n) for
+    scalars, (nk, nk) for matrix(k), (V, n, n) for function algebras.  Leading
+    stack axes are kept.  With ``stack_from_flat``, the one home of the
+    per-kind layout."""
+    if algebra.kind == MATRIX:
+        n, k = data.shape[-4], algebra.k
+        return data.swapaxes(-3, -2).reshape(data.shape[:-4] + (n * k, n * k))
+    if algebra.kind == FUNCTIONS:
+        return data.swapaxes(-1, -3).swapaxes(-1, -2)
+    return data
+
+
+def stack_from_flat(algebra, n, flat):
+    """The matrix data of n-by-n matrices from their flat form, leading stack
+    axes kept: the inverse of ``stack_to_flat``."""
+    flat = np.asarray(flat)
+    if algebra.kind == MATRIX:
+        k = algebra.k
+        return flat.reshape(flat.shape[:-2] + (n, k, n, k)).swapaxes(-3, -2)
+    if algebra.kind == FUNCTIONS:
+        return flat.swapaxes(-3, -1).swapaxes(-3, -2)
+    return flat
+
+
+def op_norms(entry_norms):
+    """Operator norm on the l1-sum A^n from the entry norms of a matrix,
+    (n, n), or of each matrix in a stack, (..., n, n): the max over columns
+    of the summed entry norms."""
+    return entry_norms.sum(axis=-2).max(axis=-1)
+
+
 class MatrixOverAlgebra:
     """An n-by-n matrix with entries in a Banach algebra.
 
@@ -317,33 +350,17 @@ class MatrixOverAlgebra:
         """Operator norm of X on the l1-sum A^n: max column sum of entry
         norms.  Exact for scalar and commutative algebras, an upper bound
         otherwise (entry_max_norm is the companion lower bound)."""
-        norms = self.entry_norms()
-        return float(np.max(norms.sum(axis=0)))
+        return float(op_norms(self.entry_norms()))
 
     # -- flat (numeric) representation --------------------------------------
     def to_flat(self):
-        """Represent the matrix as a stack of plain square matrices on which
-        every product, adjoint, exp/log, inverse and det acts: shape (n, n)
-        for scalars, (nk, nk) for matrix(k), (V, n, n) for function algebras.
-        With ``from_flat``, the one home of the per-kind layout."""
-        kind = self.algebra.kind
-        if kind == MATRIX:
-            k = self.algebra.k
-            return self.data.transpose(0, 2, 1, 3).reshape(self.n * k, self.n * k)
-        if kind == FUNCTIONS:
-            return self.data.transpose(2, 0, 1)
-        return self.data
+        """The plain square matrices the matrix acts as (see
+        ``stack_to_flat``)."""
+        return stack_to_flat(self.algebra, self.data)
 
     @classmethod
     def from_flat(cls, algebra, n, flat):
-        if algebra.kind == MATRIX:
-            k = algebra.k
-            data = flat.reshape(n, k, n, k).transpose(0, 2, 1, 3)
-        elif algebra.kind == FUNCTIONS:
-            data = np.asarray(flat).transpose(1, 2, 0)
-        else:
-            data = np.asarray(flat)
-        return cls(algebra, data)
+        return cls(algebra, stack_from_flat(algebra, n, flat))
 
     def inverse(self):
         inv = np.linalg.inv(self.to_flat())
@@ -448,22 +465,43 @@ class GroupElement:
 # exponential and principal logarithm
 
 
+_EXP_NOT_FINITE = "matrix exponential did not converge"
+_EXP_ABOVE_BOUND = "|exp(X)| exceeds e^{|X|}: numeric failure"
+_NOT_DIAGONAL = "unitary input failed to diagonalize"
+_NO_REAL_LOG = "no real logarithm: spectrum requires a complex branch"
+
+
+def _exceeds_exp_bound(norm, exp_norm):
+    """|exp X| above e^{|X|} beyond rounding, elementwise."""
+    return exp_norm > np.exp(np.minimum(norm, 700.0)) * (1.0 + 1e-9) + 1e-12
+
+
+def _misses_round_trip(err, norm):
+    """|exp(log g) - g| above 1e-9 (1 + |g|), elementwise."""
+    return err > 1e-9 * (1.0 + norm)
+
+
+def _round_trip_error(err):
+    return NumericFailureError(f"exp(log g) missed g by {err:.3g}")
+
+
 def mat_exp(x):
     """exp(X) as a GL group element.  Verifies |exp(X)| <= e^{|X|}."""
     flat = scipy.linalg.expm(x.to_flat())
     if not np.all(np.isfinite(flat)):
-        raise NumericFailureError("matrix exponential did not converge")
+        raise NumericFailureError(_EXP_NOT_FINITE)
     mat = MatrixOverAlgebra.from_flat(x.algebra, x.n, flat)
-    bound = np.exp(min(x.op_norm(), 700.0))
-    if mat.op_norm() > bound * (1.0 + 1e-9) + 1e-12:
-        raise NumericFailureError("|exp(X)| exceeds e^{|X|}: numeric failure")
+    if _exceeds_exp_bound(x.op_norm(), mat.op_norm()):
+        raise NumericFailureError(_EXP_ABOVE_BOUND)
     return GroupElement(mat, validate=False)
 
 
 def unitary_spectrum(m):
     """Eigen-decomposition of a unitary, or of each unitary in a stack along
     the leading axes, through its Schur form: returns (eigenvalues, angles,
-    vecs) with m = vecs diag(eigenvalues) vecs*.
+    vecs, diagonal) with m = vecs diag(eigenvalues) vecs* wherever the bool
+    ``diagonal`` holds.  It fails, matrix by matrix, where the Schur form is
+    not diagonal to 1e-8: that input is not unitary.
 
     This is the one home of the principal branch: angles lie in (-pi, pi]
     and an eigenvalue at -1 is resolved to +pi.
@@ -478,10 +516,9 @@ def unitary_spectrum(m):
     d = np.diagonal(t, axis1=-2, axis2=-1)
     off = t - d[..., None] * np.eye(t.shape[-1])
     size = np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))
-    if np.any(np.linalg.norm(off, axis=(-2, -1)) > 1e-8 * size):
-        raise NumericFailureError("unitary input failed to diagonalize")
+    diagonal = ~(np.linalg.norm(off, axis=(-2, -1)) > 1e-8 * size)
     theta = np.where(np.abs(d + 1.0) <= 1e-12, np.pi, np.angle(d))
-    return d, theta, z
+    return d, theta, z, diagonal
 
 
 def exp_i_selfadjoint(lam, vecs):
@@ -496,29 +533,11 @@ def exp_i_selfadjoint(lam, vecs):
 EIG_LOG_MAX_COND = 1e6
 
 
-def _principal_logs(stack, unitary):
-    """Principal logs of a stack of plain square matrices, shape (m, N, N).
-
-    Unitary input takes the branch of ``unitary_spectrum``.  Non-unitary
-    input with spectrum on the closed negative real axis is rejected; the
-    first such slice names the reason.
-    """
-    if unitary:
-        d, theta, z = unitary_spectrum(stack)
-        logd = np.log(np.abs(d)) + 1j * theta
-        return (z * logd[:, None, :]) @ z.conj().swapaxes(-1, -2)
-    w, v = np.linalg.eig(stack)
-    size = np.abs(w)
-    scale = np.maximum(1.0, size.max(axis=-1, keepdims=True))
-    singular = np.any(size <= DEFAULT_TOL * scale, axis=-1)
-    on_cut = np.any((w.real <= 0) & (np.abs(w.imag) <= DEFAULT_TOL * scale),
-                    axis=-1)
-    refused = np.flatnonzero(singular | on_cut)
-    if refused.size:
-        if singular[refused[0]]:
-            raise SpectrumOnCutError("singular input: 0 is in the spectrum")
-        raise SpectrumOnCutError(
-            "spectrum touches the negative real axis; principal log undefined")
+def _eig_logs(stack, w, v):
+    """Principal logs of a stack of plain square matrices, given their
+    eigenvalues w, which avoid 0 and the closed negative real axis, and
+    eigenvectors v: V diag(log w) V^{-1} where cond(V) < EIG_LOG_MAX_COND,
+    scipy's logm on the other slices."""
     logs = np.empty(stack.shape, dtype=np.complex128)
     by_eig = np.linalg.cond(v) < EIG_LOG_MAX_COND
     v_eig = v[by_eig]
@@ -526,9 +545,90 @@ def _principal_logs(stack, unitary):
                     @ np.linalg.inv(v_eig))
     for i in np.flatnonzero(~by_eig):  # ill-conditioned or defective
         logs[i] = scipy.linalg.logm(stack[i])
-    if not np.all(np.isfinite(logs)):
-        raise NumericFailureError("matrix logarithm did not converge")
     return logs
+
+
+def _unitary_logs(stack, per):
+    """Principal logs of unitary slices, on the branch of
+    ``unitary_spectrum``, and the refusal of each slice that fails to
+    diagonalize, by position.  ``per`` (slices to an element) is unused: a
+    unitary log costs the same refused or not."""
+    d, theta, z, diagonal = unitary_spectrum(stack)
+    logd = np.log(np.abs(d)) + 1j * theta
+    logs = (z * logd[:, None, :]) @ z.conj().swapaxes(-1, -2)
+    return logs, {i: NumericFailureError(_NOT_DIAGONAL)
+                  for i in np.flatnonzero(~diagonal)}
+
+
+def _general_logs(stack, per):
+    """Principal logs of slices, ``per`` to an element, and the refusal of
+    each slice with 0 or a point of the closed negative real axis in its
+    spectrum, by position.  Every slice of a refused element is left at 0."""
+    w, v = np.linalg.eig(stack)
+    size = np.abs(w)
+    scale = np.maximum(1.0, size.max(axis=-1, keepdims=True))
+    singular = np.any(size <= DEFAULT_TOL * scale, axis=-1)
+    on_cut = np.any((w.real <= 0) & (np.abs(w.imag) <= DEFAULT_TOL * scale),
+                    axis=-1)
+    refused = singular | on_cut
+    reasons = {i: SpectrumOnCutError(
+        "singular input: 0 is in the spectrum" if singular[i] else
+        "spectrum touches the negative real axis; principal log undefined")
+        for i in np.flatnonzero(refused)}
+    # eig makes a real stack complex once one slice has a complex
+    # eigenvalue; a real spectrum keeps the real arithmetic that eig gives
+    # it alone
+    mixed = np.isrealobj(stack) and np.iscomplexobj(w)
+    if not reasons and not mixed:
+        return _eig_logs(stack, w, v), reasons
+    logs = np.zeros(stack.shape, dtype=np.complex128)
+    dropped = refused.reshape(-1, per).any(axis=1)
+    if dropped.all():
+        return logs, reasons
+    take = ~np.repeat(dropped, per)
+    if mixed:
+        real = take & ~np.any(w.imag, axis=-1)
+        logs[real] = _eig_logs(stack[real], w[real].real, v[real].real)
+        take &= ~real
+    logs[take] = _eig_logs(stack[take], w[take], v[take])
+    return logs, reasons
+
+
+def _principal_logs(stack, unitary):
+    """Principal logs of a stack of elements, each a stack of plain square
+    matrices: shape (m, S, N, N).  Returns the logs and, per element, None,
+    or the error that refuses its first refused slice; a refused element
+    takes no log (its entries are left at 0).
+
+    Elements where ``unitary`` (a bool per element) holds take the branch
+    of ``unitary_spectrum``.  The others are refused when 0 is in the
+    spectrum of a slice or the spectrum touches the closed negative real
+    axis.
+    """
+    count, per = stack.shape[:2]
+    slices = stack.reshape((-1,) + stack.shape[-2:])
+    if all(unitary) or not any(unitary):
+        branch = _unitary_logs if unitary[0] else _general_logs
+        logs, reasons = branch(slices, per)
+    else:
+        logs = np.zeros(slices.shape, dtype=np.complex128)
+        reasons = {}
+        unitary = np.asarray(unitary)
+        for chosen, branch in ((unitary, _unitary_logs),
+                               (~unitary, _general_logs)):
+            index = np.flatnonzero(np.repeat(chosen, per))
+            logs[index], part = branch(slices[index], per)
+            reasons.update((index[i], error) for i, error in part.items())
+    if not np.isfinite(logs).all():
+        for i in np.flatnonzero(~np.isfinite(logs).all(axis=(-2, -1))):
+            reasons.setdefault(i, NumericFailureError(
+                "matrix logarithm did not converge"))
+    verdicts = [None] * count
+    for i in sorted(reasons):
+        if verdicts[i // per] is None:
+            verdicts[i // per] = reasons[i]
+            logs[i // per * per:(i // per + 1) * per] = 0.0
+    return logs.reshape(stack.shape), verdicts
 
 
 def mat_log(g):
@@ -536,24 +636,116 @@ def mat_log(g):
 
     Unitary elements are always accepted (ties at -1 resolve to +pi); other
     elements must have spectrum avoiding the closed negative real half-line.
-    The round trip exp(log g) = g is verified to 1e-9 relative.
+    The round trip exp(log g) = g is verified to 1e-9 relative.  Over a
+    function algebra, the first refused vertex names the reason.
     """
     mat = g.matrix
     unitary = g.group_tag in ("U", "Up") or g.is_unitary()
     flat = mat.to_flat()
-    logs = _principal_logs(flat.reshape((-1,) + flat.shape[-2:]),
-                           unitary).reshape(flat.shape)
+    logs, (refused,) = _principal_logs(
+        flat.reshape((1, -1) + flat.shape[-2:]), [unitary])
+    if refused is not None:
+        raise refused
+    logs = logs.reshape(flat.shape)
     if mat.algebra.kind == SCALAR_REAL:
         if np.max(np.abs(np.imag(logs))) > 1e-9:
-            raise SpectrumOnCutError(
-                "no real logarithm: spectrum requires a complex branch")
+            raise SpectrumOnCutError(_NO_REAL_LOG)
         logs = np.real(logs)
     out = MatrixOverAlgebra.from_flat(mat.algebra, mat.n, logs)
     back = mat_exp(out)
     err = (back.matrix - mat).op_norm()
-    if err > 1e-9 * (1.0 + mat.op_norm()):
-        raise NumericFailureError(f"exp(log g) missed g by {err:.3g}")
+    if _misses_round_trip(err, mat.op_norm()):
+        raise _round_trip_error(err)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the same, over a stack of elements, with a verdict per element
+
+
+def _refuse(verdicts, failed, error):
+    """Refuse, with ``error(t)``, each element t where ``failed`` holds and
+    that no earlier check refused."""
+    for t in np.flatnonzero(failed):
+        if verdicts[t] is None:
+            verdicts[t] = error(t)
+
+
+def _each(mask, stack):
+    """A per-element mask shaped to broadcast against a stack."""
+    return mask.reshape(mask.shape + (1,) * (stack.ndim - 1))
+
+
+def mat_exps(algebra, n, flats):
+    """``mat_exp`` of each matrix in a stack given in flat form, shape
+    (m,) + the ``stack_to_flat`` shape, with its checks element by element.
+
+    Returns the exponentials in the same form (a non-finite one replaced by
+    the identity), and per element None, or the error ``mat_exp`` raises on
+    that element.
+    """
+    count = len(flats)
+    verdicts = [None] * count
+    exps = scipy.linalg.expm(flats)
+    finite = np.isfinite(exps).reshape(count, -1).all(axis=-1)
+    if not finite.all():
+        _refuse(verdicts, ~finite,
+                lambda t: NumericFailureError(_EXP_NOT_FINITE))
+        ident = MatrixOverAlgebra.identity(algebra, n).to_flat()
+        exps = np.where(_each(finite, exps), exps, ident)
+    norms = op_norms(algebra.norm(stack_from_flat(algebra, n, flats)))
+    exp_norms = op_norms(algebra.norm(stack_from_flat(algebra, n, exps)))
+    _refuse(verdicts, _exceeds_exp_bound(norms, exp_norms),
+            lambda t: NumericFailureError(_EXP_ABOVE_BOUND))
+    return exps, verdicts
+
+
+def mat_logs(algebra, n, flats, unitary):
+    """``mat_log`` of each element of a stack given in flat form, shape
+    (m,) + the ``stack_to_flat`` shape, element by element: every check of
+    ``mat_log`` at its tolerances, and a refusal of non-finite input.
+
+    ``unitary`` says every element is tagged U or Up; otherwise each one is
+    tested as ``GroupElement.is_unitary`` tests it.  Returns (logs, exps,
+    verdicts): the logs and their round-trip exponentials in flat form, and
+    per element None when its log is admitted, or else the error of its
+    first failed check.  Entries of a refused element mean nothing.
+    """
+    count = len(flats)
+    verdicts = [None] * count
+    ident = MatrixOverAlgebra.identity(algebra, n)
+    finite = np.isfinite(flats).reshape(count, -1).all(axis=-1)
+    if not finite.all():
+        _refuse(verdicts, ~finite,
+                lambda t: NumericFailureError("non-finite input"))
+        flats = np.where(_each(finite, flats), flats, ident.to_flat())
+    data = stack_from_flat(algebra, n, flats)
+    if unitary:
+        unit = np.ones(count, dtype=bool)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = np.swapaxes(flats.conj(), -1, -2) @ flats
+            res = stack_from_flat(algebra, n, gram) - ident.data
+        unit = np.isfinite(res).reshape(count, -1).all(axis=-1)
+        res = np.where(_each(unit, res), res, 0.0)
+        unit &= op_norms(algebra.norm(res)) <= DEFAULT_TOL
+    logs, log_verdicts = _principal_logs(
+        flats.reshape((count, -1) + flats.shape[-2:]), unit)
+    verdicts = [v if v is not None else e
+                for v, e in zip(verdicts, log_verdicts)]
+    logs = logs.reshape(flats.shape)
+    if algebra.kind == SCALAR_REAL:
+        imag = np.abs(logs.imag).reshape(count, -1).max(axis=-1)
+        _refuse(verdicts, imag > 1e-9,
+                lambda t: SpectrumOnCutError(_NO_REAL_LOG))
+        logs = logs.real
+    exps, exp_verdicts = mat_exps(algebra, n, logs)
+    verdicts = [v if v is not None else e
+                for v, e in zip(verdicts, exp_verdicts)]
+    err = op_norms(algebra.norm(stack_from_flat(algebra, n, exps) - data))
+    _refuse(verdicts, _misses_round_trip(err, op_norms(algebra.norm(data))),
+            lambda t: _round_trip_error(err[t]))
+    return logs, exps, verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,20 @@ import numpy as np
 
 from .algebra import (
     FUNCTIONS,
+    SCALAR_REAL,
     GroupElement,
     MatrixOverAlgebra,
     NumericFailureError,
     SpectrumOnCutError,
     mat_exp,
+    mat_exps,
     mat_log,
+    mat_logs,
     matrix_from_json,
     matrix_to_json,
+    op_norms,
+    stack_from_flat,
+    stack_to_flat,
 )
 
 
@@ -273,22 +279,80 @@ def _initial_certificates(g, initial_factors):
     return pool
 
 
-def _random_direction(algebra, n, rng, unitary):
-    v = MatrixOverAlgebra.random(algebra, n, rng, scale=1.0)
+def _draw(algebra, n, count, rng):
+    """``count`` random n-by-n matrices in data layout, in one generator call
+    that gives the stream of ``MatrixOverAlgebra.random`` called ``count``
+    times: for each entry in turn, its real parts, then its imaginary ones."""
+    shape = (count, n, n) + algebra.value_shape()
+    if algebra.kind == SCALAR_REAL:
+        return rng.standard_normal(shape)
+    parts = rng.standard_normal((count, n, n, 2) + algebra.value_shape())
+    return parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
+
+
+def _resplits(left, right, step, unitary, count, rng):
+    """The re-split trials of the pair (exp X, exp Y) = (left, right), as one
+    stack.  Trial t draws a direction D, skew-adjoint when ``unitary``, and
+    splits the pair at mid = left exp(step D/|D|) into X' = log(mid) and
+    Y' = log(mid^-1 left right): one expm, one inverse and one ``mat_logs``
+    call for all trials.
+
+    Yields (t, X', Y', (exp X', exp Y') in flat form) in trial order for
+    each trial whose two logs are admitted.  A zero direction and a refused
+    log skip the trial; a failed exp(step D/|D|) raises when the search
+    reaches that trial, as it does on a trial-by-trial evaluation."""
+    algebra, n = left.algebra, left.n
+    directions = _draw(algebra, n, count, rng)
     if unitary:
-        v = (v - v.adjoint()).scaled(0.5)
-    norm = v.op_norm()
-    if norm == 0:
-        return None
-    return v.scaled(1.0 / norm)
+        adjoint = stack_from_flat(algebra, n, np.swapaxes(
+            stack_to_flat(algebra, directions).conj(), -1, -2))
+        directions = 0.5 * (directions - adjoint)
+    norms = op_norms(algebra.norm(directions))
+    inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    steps = step * (inverse.reshape((count,) + (1,) * (directions.ndim - 1))
+                    * directions)
+    step_exps, step_failures = mat_exps(algebra, n,
+                                        stack_to_flat(algebra, steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mids = left.to_flat() @ step_exps
+        rests = _inverses(mids) @ (left @ right).to_flat()
+    logs, exps, verdicts = mat_logs(algebra, n, np.concatenate([mids, rests]),
+                                    unitary)
+    for t in np.flatnonzero(norms > 0):
+        if step_failures[t] is not None:
+            raise step_failures[t]
+        if verdicts[t] is None and verdicts[count + t] is None:
+            yield (t, MatrixOverAlgebra.from_flat(algebra, n, logs[t]),
+                   MatrixOverAlgebra.from_flat(algebra, n, logs[count + t]),
+                   (exps[t], exps[count + t]))
+
+
+def _inverses(flats):
+    """The inverse of each matrix in a stack; NaN for an exactly singular
+    one, whose log is refused, rather than an error for the whole stack."""
+    try:
+        return np.linalg.inv(flats)
+    except np.linalg.LinAlgError:
+        out = np.full(flats.shape, np.nan, dtype=flats.dtype)
+        for index in np.ndindex(flats.shape[:-2]):
+            try:
+                out[index] = np.linalg.inv(flats[index])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _refine_factors(factors, g, objective, budget, rng):
     """Derivative-free coordinate descent over the interior split points:
     each sweep merges the first adjacent pair whose merge shortens the
     objective, then re-splits each pair through a perturbed midpoint, keeping
-    the product fixed.  exps[i] = exp(best[i]) is computed once per factor."""
-    tag = "U" if g.group_tag in ("U", "Up") else "GL"
+    the product fixed.  exps[i] = exp(best[i]) is computed once per factor.
+
+    The ``budget.trials`` trials of a pair are drawn and taken as one stack
+    (``_resplits``) and judged in order; the first that shortens the
+    objective wins, and the generator is put back to just after its draw, so
+    the search follows the stream of a trial-by-trial evaluation."""
+    unitary = g.group_tag in ("U", "Up")
     best = list(factors)
     best_val = objective(best)
     exps = [mat_exp(x).matrix for x in best]
@@ -307,22 +371,17 @@ def _refine_factors(factors, g, objective, budget, rng):
                 exps[i:i + 2] = [mat_exp(merged).matrix]
                 break
         for i in range(len(best) - 1):
-            pair_product = exps[i] @ exps[i + 1]
-            for _ in range(budget.trials):
-                direction = _random_direction(g.algebra, g.n, rng, tag == "U")
-                if direction is None:
-                    continue
-                mid = exps[i] @ mat_exp(direction.scaled(step)).matrix
-                try:
-                    x_new = _try_log(mid, tag)
-                    y_new = _try_log(mid.inverse() @ pair_product, tag)
-                except (SpectrumOnCutError, NumericFailureError):
-                    continue
+            state = rng.bit_generator.state
+            for t, x_new, y_new, round_trip in _resplits(
+                    exps[i], exps[i + 1], step, unitary, budget.trials, rng):
                 candidate = best[:i] + [x_new, y_new] + best[i + 2:]
                 val = objective(candidate)
                 if val < best_val - 1e-12:
                     best, best_val, improved = candidate, val, True
-                    exps[i:i + 2] = [mat_exp(y).matrix for y in (x_new, y_new)]
+                    exps[i:i + 2] = [MatrixOverAlgebra.from_flat(
+                        g.algebra, g.n, flat) for flat in round_trip]
+                    rng.bit_generator.state = state
+                    _draw(g.algebra, g.n, t + 1, rng)
                     break
         if not improved:
             step *= 0.5

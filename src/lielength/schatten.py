@@ -18,9 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import exp_i_selfadjoint, read_only, unitary_spectrum
+from .algebra import (
+    NumericFailureError,
+    exp_i_selfadjoint,
+    read_only,
+    unitary_spectrum,
+)
 
 EXP_LIPSCHITZ_BOUND = math.e  # telescoping bound 1 + sum_k 1/(k-1)!
+# Most steps a coarse-proper chain may take: one unitary is built per step,
+# so the cap bounds its memory (10,000 4x4 unitaries hold 2.5 MB of entries).
+MAX_CHAIN_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,9 @@ class PUnitary:
     def principal_log_selfadjoint(self):
         """The self-adjoint a with u = e^{ia} and |a|_inf <= pi, on the
         principal branch of ``unitary_spectrum``."""
-        _, theta, z = unitary_spectrum(self.matrix)
+        _, theta, z, diagonal = unitary_spectrum(self.matrix)
+        if not diagonal:
+            raise NumericFailureError("unitary input failed to diagonalize")
         a = (z * theta) @ z.conj().T
         return 0.5 * (a + a.conj().T)
 
@@ -159,7 +169,8 @@ def coarse_proper_chain(u, delta_cap, step):
     coarse properness of the metric for d(u, 1) < delta_cap.
 
     k is the smallest admissible count: 1 when a single step suffices, else
-    the least integer exceeding max(pi/step, 2*delta_cap/step).
+    the least integer exceeding max(pi/step, 2*delta_cap/step).  A k above
+    ``MAX_CHAIN_STEPS`` is refused before any element is built.
     """
     if not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
@@ -171,8 +182,12 @@ def coarse_proper_chain(u, delta_cap, step):
         return [one]
     if d0 < step:
         return [one, u]
-    k = math.floor(max(math.pi / step, 2.0 * delta_cap / step)) + 1
-    chain = _subdivided_chain(u, k)
+    ratio = max(math.pi / step, 2.0 * delta_cap / step)
+    if not ratio < MAX_CHAIN_STEPS:
+        raise ValueError(
+            f"step {step} needs a chain of more than MAX_CHAIN_STEPS = "
+            f"{MAX_CHAIN_STEPS} steps")
+    chain = _subdivided_chain(u, math.floor(ratio) + 1)
     if max(_step_lengths(chain)) >= step:
         raise AssertionError("subdivided chain exceeded the step bound")
     return chain

@@ -254,3 +254,34 @@ def test_bad_numbers_exit_2_naming_the_constraint(capsys, argv, message):
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_schatten_chain_refuses_a_step_past_the_cap(capsys):
+    status = run(["schatten", "chain", "--step", "1e-9"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "MAX_CHAIN_STEPS = 10000" in captured.err
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["el", "bracket", "--group", "u4", "--seed", "7"],
+     {"lower": 6.661338147750937e-16, "upper": 2.0762666856961056,
+      "residual": 1.6797344236599312e-15}),
+    (["el", "bracket", "--group", "gl3", "--seed", "1"],
+     {"lower": 2.00423580343932, "upper": 4.264042864568143,
+      "residual": 1.0640846502575137e-14}),
+    (["rel", "estimate", "--group", "gl2", "--seed", "3"],
+     {"rel_upper": 3.043889925484966, "el_upper": 3.3113622895845207}),
+], ids=["el-u4-seed7", "el-gl3-seed1", "rel-gl2-seed3"])
+def test_reference_runs_keep_their_bracket_values(tmp_path, argv, pinned):
+    """The bracket values of the three reference CLI runs stay pinned to
+    1e-12: a change to the search must not move them."""
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    bracket = doc.get("bracket", doc)
+    got = {key: bracket["certificate"][key] if key == "residual"
+           else bracket[key] for key in pinned}
+    assert got == pytest.approx(pinned, rel=0, abs=1e-12)

@@ -1,0 +1,244 @@
+"""The re-split trials of a pair as one stack: the same search as a
+trial-by-trial loop, and a verdict per trial from the stacked log."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lielength as ll
+from lielength import acceptance, algebra, explength
+
+
+# -- the trial-by-trial reference ---------------------------------------------
+
+def _sequential_direction(alg, n, rng, unitary):
+    v = ll.MatrixOverAlgebra.random(alg, n, rng, scale=1.0)
+    if unitary:
+        v = (v - v.adjoint()).scaled(0.5)
+    norm = v.op_norm()
+    if norm == 0:
+        return None
+    return v.scaled(1.0 / norm)
+
+
+def sequential_refine(factors, g, objective, budget, rng):
+    """The coordinate descent with its re-split trials taken one at a time,
+    each through its own exp and two ``mat_log`` calls."""
+    tag = "U" if g.group_tag in ("U", "Up") else "GL"
+    best = list(factors)
+    best_val = objective(best)
+    exps = [ll.mat_exp(x).matrix for x in best]
+    step = budget.init_step
+    for _ in range(budget.iterations):
+        improved = False
+        for i in range(len(best) - 1):
+            try:
+                merged = explength._try_log(exps[i] @ exps[i + 1])
+            except (ll.SpectrumOnCutError, ll.NumericFailureError):
+                continue
+            candidate = best[:i] + [merged] + best[i + 2:]
+            val = objective(candidate)
+            if val < best_val - 1e-12:
+                best, best_val, improved = candidate, val, True
+                exps[i:i + 2] = [ll.mat_exp(merged).matrix]
+                break
+        for i in range(len(best) - 1):
+            pair_product = exps[i] @ exps[i + 1]
+            for _ in range(budget.trials):
+                direction = _sequential_direction(g.algebra, g.n, rng,
+                                                  tag == "U")
+                if direction is None:
+                    continue
+                mid = exps[i] @ ll.mat_exp(direction.scaled(step)).matrix
+                try:
+                    x_new = explength._try_log(mid, tag)
+                    y_new = explength._try_log(mid.inverse() @ pair_product,
+                                               tag)
+                except (ll.SpectrumOnCutError, ll.NumericFailureError):
+                    continue
+                candidate = best[:i] + [x_new, y_new] + best[i + 2:]
+                val = objective(candidate)
+                if val < best_val - 1e-12:
+                    best, best_val, improved = candidate, val, True
+                    exps[i:i + 2] = [ll.mat_exp(y).matrix
+                                     for y in (x_new, y_new)]
+                    break
+        if not improved:
+            step *= 0.5
+            if step < budget.min_step:
+                break
+    return best, best_val
+
+
+# -- starting points ------------------------------------------------------------
+
+def _from_log(alg, n, rng, scale):
+    x = ll.MatrixOverAlgebra.random(alg, n, rng, scale=scale)
+    return ll.mat_exp(x), x
+
+
+def _case(kind, rng):
+    """(g, factors): an element and a factorization of it to refine."""
+    if kind == "scalar-complex GL":
+        g = acceptance.random_gl(int(rng.integers(2, 4)), rng)
+        x = ll.mat_log(g)
+    elif kind == "scalar-real GL":
+        g, x = _from_log(ll.scalar_real(), int(rng.integers(2, 4)), rng, 0.6)
+    elif kind == "matrix(k) U":
+        g = acceptance.random_unitary(int(rng.integers(2, 5)), rng)
+        x = ll.mat_log(g)
+    else:
+        g, x = _from_log(ll.function_algebra(3, [(0, 1), (1, 2)]), 2, rng,
+                         0.4)
+    parts = int(rng.integers(2, 4))
+    return g, [x.scaled(1.0 / parts)] * parts
+
+
+KINDS = ("scalar-complex GL", "scalar-real GL", "matrix(k) U",
+         "functions GL")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.sampled_from(KINDS), st.sampled_from([1, 3, 6]),
+       st.sampled_from([explength._sum_norms, explength._norm_of_sum]),
+       st.integers(0, 2**32 - 1))
+def test_stacked_trials_follow_the_trial_by_trial_search(kind, trials,
+                                                         objective, seed):
+    """Same factor bytes, same value, and the generator left in the same
+    state as the trial-by-trial loop."""
+    g, factors = _case(kind, np.random.default_rng(seed))
+    budget = ll.EstimateBudget(iterations=4, trials=trials)
+    rng_ref = np.random.default_rng([seed, 1])
+    rng = np.random.default_rng([seed, 1])
+    ref, ref_val = sequential_refine(factors, g, objective, budget, rng_ref)
+    got, got_val = explength._refine_factors(factors, g, objective, budget,
+                                             rng)
+    assert got_val == ref_val
+    assert [x.data.tobytes() for x in got] == [x.data.tobytes() for x in ref]
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("alg, n", [
+    (ll.scalar_complex(), 2), (ll.scalar_real(), 3), (ll.matrix_algebra(3), 2),
+    (ll.function_algebra(4, [(0, 1)]), 2)], ids=lambda a: getattr(a, "kind", ""))
+def test_one_draw_gives_the_stream_of_one_by_one_draws(alg, n):
+    one_by_one = np.random.default_rng(9)
+    stacked = np.random.default_rng(9)
+    expected = [ll.MatrixOverAlgebra.random(alg, n, one_by_one).data
+                for _ in range(5)]
+    assert np.array_equal(explength._draw(alg, n, 5, stacked), expected)
+    assert stacked.bit_generator.state == one_by_one.bit_generator.state
+
+
+# -- verdicts per trial ------------------------------------------------------------
+
+def _flats(elements):
+    return np.stack([m.to_flat() for m in elements])
+
+
+@pytest.mark.parametrize("alg", [
+    ll.scalar_complex(), ll.scalar_real(), ll.function_algebra(3, [(0, 1)])],
+    ids=lambda a: a.kind)
+def test_a_trial_on_the_cut_refuses_only_itself(alg):
+    """One element on the cut among admissible ones, some with a real and
+    some with a complex spectrum, and a unitary one: only the element on the
+    cut is refused, and every other log is the bytes of ``mat_log`` on that
+    element alone."""
+    rng = np.random.default_rng(2)
+    rotation = np.array([[np.cos(0.4), -np.sin(0.4)],
+                         [np.sin(0.4), np.cos(0.4)]])
+    values = [1.5 * rotation, np.diag([2.0, 0.5]), np.diag([-2.0, 1.0]),
+              ll.mat_exp(ll.MatrixOverAlgebra.random(alg, 2, rng, 0.3)),
+              rotation]
+    elements = []
+    for v in values:
+        if isinstance(v, ll.GroupElement):
+            elements.append(v.matrix)
+        else:
+            data = np.asarray(v)[(...,) + (None,) * len(alg.value_shape())]
+            elements.append(ll.MatrixOverAlgebra(
+                alg, np.broadcast_to(data, (2, 2) + alg.value_shape())))
+    logs, exps, verdicts = algebra.mat_logs(alg, 2, _flats(elements),
+                                           unitary=False)
+    assert [v is None for v in verdicts] == [True, True, False, True, True]
+    assert isinstance(verdicts[2], ll.SpectrumOnCutError)
+    assert "negative real axis" in str(verdicts[2])
+    for t in (0, 1, 3, 4):
+        alone = ll.mat_log(ll.GroupElement(elements[t], "GL", validate=False))
+        assert logs[t].tobytes() == alone.to_flat().tobytes()
+        assert np.array_equal(exps[t], ll.mat_exp(alone).matrix.to_flat())
+
+
+def test_stacked_log_gives_the_reason_mat_log_gives():
+    """A refused element's verdict is the error ``mat_log`` raises on it
+    alone, type and message; a non-finite element is refused too."""
+    alg = ll.scalar_real()
+    elements = [np.diag([0.0, 1.0]), np.diag([-2.0, 1.0]),
+                np.array([[0.0, -1.0], [1.0, 0.0]]) * 1.2]
+    overflowed = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    _, _, verdicts = algebra.mat_logs(
+        alg, 2, np.stack(elements + [overflowed]), False)
+    assert verdicts[2] is None
+    assert isinstance(verdicts[3], ll.NumericFailureError)
+    for m, verdict in zip(elements[:2], verdicts):
+        g = ll.GroupElement(ll.MatrixOverAlgebra(alg, m), "GL", validate=False)
+        with pytest.raises(type(verdict)) as raised:
+            ll.mat_log(g)
+        assert str(raised.value) == str(verdict)
+
+
+def _failing_step(monkeypatch, trial):
+    """Make the exponential of one trial's step fail."""
+    exps = explength.mat_exps
+
+    def failing(alg, n, flats):
+        out, verdicts = exps(alg, n, flats)
+        verdicts[trial] = ll.NumericFailureError("injected failure")
+        return out, verdicts
+
+    monkeypatch.setattr(explength, "mat_exps", failing)
+
+
+def _always_shorter():
+    """An objective each evaluation of which beats the last, so the first
+    trial evaluated is accepted."""
+    counter = itertools.count()
+    return lambda factors: -float(next(counter))
+
+
+def test_a_failing_trial_after_the_accepted_one_raises_nothing(monkeypatch):
+    g = acceptance.random_gl(2, np.random.default_rng(4))
+    x = ll.mat_log(g)
+    _failing_step(monkeypatch, 1)
+    budget = ll.EstimateBudget(iterations=1, trials=2)
+    # the sweep merges two of the three factors, then re-splits the pair
+    # left: its trial 0 is accepted, and trial 1 is never reached
+    refined, _ = explength._refine_factors(
+        [x.scaled(1 / 3)] * 3, g, _always_shorter(), budget,
+        np.random.default_rng(0))
+    assert len(refined) == 2
+    assert explength.FactorizationCertificate.from_factors(
+        refined, g).residual < 1e-10
+
+
+def test_a_failing_trial_before_any_accepted_one_raises(monkeypatch):
+    g = acceptance.random_gl(2, np.random.default_rng(4))
+    x = ll.mat_log(g)
+    _failing_step(monkeypatch, 0)
+    budget = ll.EstimateBudget(iterations=1, trials=2)
+    with pytest.raises(ll.NumericFailureError, match="injected"):
+        explength._refine_factors([x.scaled(1 / 3)] * 3, g, _always_shorter(),
+                                  budget, np.random.default_rng(0))
+
+
+def test_a_singular_slice_inverts_to_nan_alone():
+    rng = np.random.default_rng(1)
+    stack = rng.standard_normal((3, 2, 2))
+    stack[1] = [[1.0, 2.0], [2.0, 4.0]]
+    out = explength._inverses(stack)
+    assert np.isnan(out[1]).all()
+    for t in (0, 2):
+        assert np.array_equal(out[t], np.linalg.inv(stack[t]))

@@ -2,6 +2,7 @@
 action and its witnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,31 @@ def test_coarse_proper_chain_identity():
     ctx = ll.SchattenContext(2, 2)
     u = schatten.PUnitary.identity(ctx)
     assert len(ll.coarse_proper_chain(u, 1.0, 0.5)) == 1
+
+
+def test_coarse_proper_chain_refuses_a_step_past_the_cap(monkeypatch):
+    """A step of 1e-9 would ask for about 6.6e9 unitaries: the count is
+    refused, naming the limit, before any element is built."""
+    ctx = ll.SchattenContext(4, 2)
+    u = schatten.random_punitary(ctx, np.random.default_rng(0))
+    built = []
+    monkeypatch.setattr(schatten, "_subdivided_chain",
+                        lambda *args: built.append(args))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_CHAIN_STEPS = 10000"):
+            ll.coarse_proper_chain(u, 5.0, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    assert peak < 100_000
+    monkeypatch.undo()
+    # k = floor(2 delta_cap / step) + 1 on either side of the cap
+    cap = schatten.MAX_CHAIN_STEPS
+    with pytest.raises(ValueError, match="MAX_CHAIN_STEPS"):
+        ll.coarse_proper_chain(u, 5.0, 10.0 / cap)
+    assert len(ll.coarse_proper_chain(u, 5.0, 10.0 / (cap - 0.5))) - 1 == cap
 
 
 def _conjugated_diag(entries, ctx, rng):
