@@ -304,6 +304,8 @@ class MatrixOverAlgebra:
 
     @classmethod
     def random(cls, algebra, n, rng, scale=1.0):
+        if n < 1:
+            raise ValueError(f"matrix size n must be >= 1, got {n}")
         data = np.stack([algebra.random_value(rng, scale) for _ in range(n * n)])
         return cls(algebra, data.reshape((n, n) + algebra.value_shape()))
 

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -66,13 +67,13 @@ def _build_group(args):
     model), gl<n> a random invertible n-by-n complex matrix."""
     if args.input:
         return algebra.group_from_json(_read_json(args.input))
-    spec = args.group
-    rng = np.random.default_rng(args.seed)
-    if spec.startswith("u"):
-        return acceptance.random_unitary(int(spec[1:]), rng)
-    if spec.startswith("gl"):
-        return acceptance.random_gl(int(spec[2:]), rng)
-    raise SystemExit(f"unknown group spec {spec!r} (use u<k> or gl<n>)")
+    match = re.fullmatch(r"(u|gl)([0-9]+)", args.group)
+    if match is None or int(match[2]) < 1:
+        raise ValueError(f"--group {args.group!r}: use u<k> or gl<n>, with "
+                         "k, n >= 1")
+    sample = (acceptance.random_unitary if match[1] == "u"
+              else acceptance.random_gl)
+    return sample(int(match[2]), np.random.default_rng(args.seed))
 
 
 def _cmd_el(args):
@@ -139,13 +140,21 @@ def _cmd_cel(args):
     return 0 if ok else 1
 
 
+def _samples(args):
+    """``--samples``, refused below 1: a check over no sample checks
+    nothing."""
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    return args.samples
+
+
 def _cmd_schatten(args):
     rng = np.random.default_rng(args.seed)
     ctx = schatten.SchattenContext(args.dim, args.p)
     if args.action == "sandwich":
         rows = []
         ok = True
-        for _ in range(args.samples):
+        for _ in range(_samples(args)):
             a = schatten.random_selfadjoint(args.dim, rng,
                                             rng.uniform(1e-3, math.pi))
             try:
@@ -192,7 +201,7 @@ def _cmd_en(args):
     if args.action == "identities":
         algebras = (algebra.scalar_complex(), algebra.matrix_algebra(2))
         worst = 0.0
-        for idx in range(args.samples):
+        for idx in range(_samples(args)):
             alg = algebras[idx % 2]
             a = algebra.AlgebraElement(alg, alg.random_value(rng))
             b = algebra.AlgebraElement(alg, alg.random_value(rng))
@@ -266,8 +275,6 @@ def _cmd_coarse(args):
 
 
 def _cmd_suite(args):
-    if args.name != "acceptance":
-        raise SystemExit(f"unknown suite {args.name!r}")
     reports = acceptance.run_all()
     if args.out:
         _write_result(reports, args.out, args.format)
@@ -354,7 +361,7 @@ def build_parser():
     p_co.set_defaults(fn=_cmd_coarse)
 
     p_su = sub.add_parser("suite", help="run a named battery")
-    p_su.add_argument("name")
+    p_su.add_argument("name", choices=("acceptance",))
     common(p_su)
     p_su.set_defaults(fn=_cmd_suite)
     return parser

@@ -290,18 +290,18 @@ def _draw(algebra, n, count, rng):
     return parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
 
 
-def _resplits(left, right, step, unitary, count, rng):
-    """The re-split trials of the pair (exp X, exp Y) = (left, right), as one
-    stack.  Trial t draws a direction D, skew-adjoint when ``unitary``, and
-    splits the pair at mid = left exp(step D/|D|) into X' = log(mid) and
-    Y' = log(mid^-1 left right): one expm, one inverse and one ``mat_logs``
-    call for all trials.
+def _resplits(g, left, pair, step, count, rng):
+    """The re-split trials of a pair of factors of g, given as left = exp X
+    and pair = exp X exp Y in flat form, as one stack.  Trial t draws a
+    direction D, skew-adjoint when g is tagged U or Up, and splits the pair
+    at mid = left exp(step D/|D|) into X' = log(mid) and Y' = log(mid^-1
+    pair): one expm, one inverse and one ``mat_logs`` call for all trials.
 
     Yields (t, X', Y', (exp X', exp Y') in flat form) in trial order for
     each trial whose two logs are admitted.  A zero direction and a refused
     log skip the trial; a failed exp(step D/|D|) raises when the search
     reaches that trial, as it does on a trial-by-trial evaluation."""
-    algebra, n = left.algebra, left.n
+    algebra, n, unitary = g.algebra, g.n, g.group_tag in ("U", "Up")
     directions = _draw(algebra, n, count, rng)
     if unitary:
         adjoint = stack_from_flat(algebra, n, np.swapaxes(
@@ -314,8 +314,8 @@ def _resplits(left, right, step, unitary, count, rng):
     step_exps, step_failures = mat_exps(algebra, n,
                                         stack_to_flat(algebra, steps))
     with np.errstate(over="ignore", invalid="ignore"):
-        mids = left.to_flat() @ step_exps
-        rests = _inverses(mids) @ (left @ right).to_flat()
+        mids = left @ step_exps
+        rests = _inverses(mids) @ pair
     logs, exps, verdicts = mat_logs(algebra, n, np.concatenate([mids, rests]),
                                     unitary)
     for t in np.flatnonzero(norms > 0):
@@ -346,40 +346,43 @@ def _refine_factors(factors, g, objective, budget, rng):
     """Derivative-free coordinate descent over the interior split points:
     each sweep merges the first adjacent pair whose merge shortens the
     objective, then re-splits each pair through a perturbed midpoint, keeping
-    the product fixed.  exps[i] = exp(best[i]) is computed once per factor.
+    the product fixed; fewer than two factors allow neither.  exps, the flat
+    exp(best[i]) as one array, is computed once per factor.
 
-    The ``budget.trials`` trials of a pair are drawn and taken as one stack
-    (``_resplits``) and judged in order; the first that shortens the
-    objective wins, and the generator is put back to just after its draw, so
-    the search follows the stream of a trial-by-trial evaluation."""
-    unitary = g.group_tag in ("U", "Up")
-    best = list(factors)
-    best_val = objective(best)
-    exps = [mat_exp(x).matrix for x in best]
+    A sweep's merges are one ``mat_logs`` call and a pair's ``budget.trials``
+    trials one stack (``_resplits``), each judged in order: the first that
+    shortens the objective wins and keeps its round-trip exponentials, and
+    the generator is put back to just after the accepted trial's draw."""
+    best, best_val = list(factors), objective(factors)
+    if len(best) < 2:
+        return best, best_val
+    exps = np.stack([mat_exp(x).matrix.to_flat() for x in best])
     step = budget.init_step
     for _ in range(budget.iterations):
+        if len(best) < 2:
+            break
         improved = False
-        for i in range(len(best) - 1):
-            try:
-                merged = _try_log(exps[i] @ exps[i + 1])
-            except (SpectrumOnCutError, NumericFailureError):
-                continue
-            candidate = best[:i] + [merged] + best[i + 2:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = exps[:-1] @ exps[1:]
+        logs, back, verdicts = mat_logs(g.algebra, g.n, products, False)
+        for i in (j for j, v in enumerate(verdicts) if v is None):
+            merge = MatrixOverAlgebra.from_flat(g.algebra, g.n, logs[i])
+            candidate = best[:i] + [merge] + best[i + 2:]
             val = objective(candidate)
             if val < best_val - 1e-12:
                 best, best_val, improved = candidate, val, True
-                exps[i:i + 2] = [mat_exp(merged).matrix]
+                exps = np.concatenate([exps[:i], back[i:i + 1], exps[i + 2:]])
                 break
         for i in range(len(best) - 1):
             state = rng.bit_generator.state
             for t, x_new, y_new, round_trip in _resplits(
-                    exps[i], exps[i + 1], step, unitary, budget.trials, rng):
+                    g, exps[i], exps[i] @ exps[i + 1], step, budget.trials,
+                    rng):
                 candidate = best[:i] + [x_new, y_new] + best[i + 2:]
                 val = objective(candidate)
                 if val < best_val - 1e-12:
                     best, best_val, improved = candidate, val, True
-                    exps[i:i + 2] = [MatrixOverAlgebra.from_flat(
-                        g.algebra, g.n, flat) for flat in round_trip]
+                    exps[i:i + 2] = round_trip
                     rng.bit_generator.state = state
                     _draw(g.algebra, g.n, t + 1, rng)
                     break

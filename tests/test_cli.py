@@ -167,9 +167,13 @@ def test_el_estimate_from_group_json(tmp_path):
     assert doc["bracket"]["upper"] <= x.op_norm() + 1e-9
 
 
-def test_unknown_suite_rejected():
-    with pytest.raises(SystemExit):
+def test_unknown_suite_rejected(capsys):
+    with pytest.raises(SystemExit) as raised:  # argparse's usage error
         run(["suite", "nonsense"])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'nonsense'" in captured.err
 
 
 def test_input_files_are_closed(tmp_path, capsys):
@@ -220,6 +224,28 @@ def test_empty_witness_set_exits_2_with_one_line(capsys):
     assert captured.out == ""
     assert captured.err == (
         "lielength: error: the witness needs at least one element\n")
+
+
+def _group_message(spec):
+    return f"--group {spec!r}: use u<k> or gl<n>, with k, n >= 1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["el", "bracket", "--group", "foo"], _group_message("foo")),
+    (["el", "bracket", "--group", "gl0"], _group_message("gl0")),
+    (["el", "bracket", "--group", "gl-1"], _group_message("gl-1")),
+    (["rel", "estimate", "--group", "u0"], _group_message("u0")),
+    (["trotter", "--dim", "0"], "matrix size n must be >= 1, got 0"),
+    (["schatten", "sandwich", "--samples", "0"],
+     "--samples must be >= 1, got 0"),
+    (["en", "identities", "--samples", "0"], "--samples must be >= 1, got 0"),
+], ids=["group-foo", "group-gl0", "group-gl-1", "group-u0", "trotter-dim-0",
+        "sandwich-samples-0", "identities-samples-0"])
+def test_unusable_input_exits_2_with_one_true_line(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lielength: error: {message}\n"
 
 
 def test_tol_belongs_to_el_and_rel():

@@ -242,3 +242,83 @@ def test_a_singular_slice_inverts_to_nan_alone():
     assert np.isnan(out[1]).all()
     for t in (0, 2):
         assert np.array_equal(out[t], np.linalg.inv(stack[t]))
+
+
+# -- merges as one checked stack -------------------------------------------------
+
+def _merging_starts(kind, seed):
+    """(g, starts): an element exp X and two factorizations of it that merge
+    down to one factor, [2X, -X] and [X, X/2, -X/2]."""
+    g, factors = _case(kind, np.random.default_rng(seed))
+    x = sum(factors[1:], factors[0])
+    return g, [[x.scaled(2.0), -x], [x, x.scaled(0.5), x.scaled(-0.5)]]
+
+
+@pytest.mark.parametrize("objective", [explength._sum_norms,
+                                       explength._norm_of_sum],
+                         ids=["sum_norms", "norm_of_sum"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_merge_down_to_one_factor_follows_the_trial_by_trial_search(
+        kind, objective):
+    g, starts = _merging_starts(kind, 5)
+    lengths = []
+    for factors in starts:
+        budget = ll.EstimateBudget(iterations=6, trials=3)
+        rng_ref = np.random.default_rng(11)
+        rng = np.random.default_rng(11)
+        ref, ref_val = sequential_refine(factors, g, objective, budget,
+                                         rng_ref)
+        got, got_val = explength._refine_factors(factors, g, objective,
+                                                 budget, rng)
+        assert got_val == ref_val
+        assert [x.data.tobytes() for x in got] == [
+            x.data.tobytes() for x in ref]
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        lengths.append(len(got))
+    if objective is explength._sum_norms:
+        # [2X, -X] merges to one factor, [X, X/2, -X/2] at least once
+        assert lengths[0] == 1 and lengths[1] < 3
+
+
+def test_the_sweep_takes_no_log_or_exp_of_its_own(monkeypatch):
+    """Merges and re-splits take their logs and exponentials from the
+    stacked calls alone: with ``mat_log`` and ``_try_log`` refusing every
+    call, the search keeps its bytes, and ``mat_exp`` runs once per starting
+    factor."""
+    g, starts = _merging_starts("scalar-complex GL", 3)
+    budget = ll.EstimateBudget(iterations=6, trials=3)
+    expected = [explength._refine_factors(f, g, explength._sum_norms, budget,
+                                          np.random.default_rng(2))[0]
+                for f in starts]
+
+    def refuse(*args):
+        raise ll.NumericFailureError("no single log in the sweep")
+
+    monkeypatch.setattr(explength, "mat_log", refuse)
+    monkeypatch.setattr(explength, "_try_log", refuse)
+    exp_calls = []
+    monkeypatch.setattr(explength, "mat_exp",
+                        lambda x: exp_calls.append(x) or ll.mat_exp(x))
+    for factors, ref in zip(starts, expected):
+        got, _ = explength._refine_factors(factors, g, explength._sum_norms,
+                                           budget, np.random.default_rng(2))
+        assert [x.data.tobytes() for x in got] == [
+            x.data.tobytes() for x in ref]
+    assert len(exp_calls) == sum(len(f) for f in starts)
+
+
+def test_one_factor_is_returned_untouched(monkeypatch):
+    g = acceptance.random_gl(3, np.random.default_rng(6))
+    x = ll.mat_log(g)
+
+    def refuse(*args):
+        raise AssertionError("one factor needs no exponential")
+
+    monkeypatch.setattr(explength, "mat_exp", refuse)
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    for objective in (explength._sum_norms, explength._norm_of_sum):
+        got, val = explength._refine_factors([x], g, objective,
+                                             ll.EstimateBudget(), rng)
+        assert got == [x] and val == objective([x])
+    assert rng.bit_generator.state == before
