@@ -1,5 +1,6 @@
 """The acceptance battery: eleven property suites, each a callable that
-returns a report dict with ``passed``, ``detail`` and ``elapsed`` fields.
+returns a report dict with ``criterion``, ``passed``, ``detail``,
+``elapsed_s`` and ``runtime_limit_s`` fields.
 
 Every criterion is deterministic (fixed seeds) and pinned to the tolerance
 it states; the CLI ``suite acceptance`` command and the pytest acceptance
@@ -8,6 +9,7 @@ module both run exactly these functions.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -24,14 +26,25 @@ from . import (
 )
 
 
-def _report(name, passed, detail, elapsed, limit=None):
-    return {
-        "criterion": name,
-        "passed": bool(passed),
-        "detail": detail,
-        "elapsed_s": round(elapsed, 3),
-        "runtime_limit_s": limit,
-    }
+def _criterion(name, limit=None):
+    """Make a body returning ``(passed, detail)`` into a criterion: it is
+    timed, a run of ``limit`` seconds or more fails it, and its report is
+    built here."""
+    def wrap(body):
+        @functools.wraps(body)
+        def run():
+            start = time.perf_counter()
+            passed, detail = body()
+            elapsed = time.perf_counter() - start
+            return {
+                "criterion": name,
+                "passed": bool(passed) and (limit is None or elapsed < limit),
+                "detail": detail,
+                "elapsed_s": round(elapsed, 3),
+                "runtime_limit_s": limit,
+            }
+        return run
+    return wrap
 
 
 def random_unitary(k, rng):
@@ -55,10 +68,10 @@ def random_gl(n, rng):
             return algebra.GroupElement(x, "GL", validate=False)
 
 
+@_criterion("1: exp sandwich inequality", limit=10.0)
 def criterion_1_sandwich():
     """Two-sided exponential estimate: 1000 random self-adjoint matrices
     with operator norm at most pi, dims {2,4,8,16}, p in {1,2,4}."""
-    start = time.perf_counter()
     rng = np.random.default_rng(101)
     dims = (2, 4, 8, 16)
     violations = 0
@@ -72,10 +85,7 @@ def criterion_1_sandwich():
                 schatten.sandwich_check(a, ctx, slack=1e-9)
             except AssertionError:
                 violations += 1
-    elapsed = time.perf_counter() - start
-    passed = violations == 0 and elapsed < 10.0
-    return _report("1: exp sandwich inequality", passed,
-                   f"violations={violations}", elapsed, 10.0)
+    return violations == 0, f"violations={violations}"
 
 
 def _random_admissible_circle(rng):
@@ -97,10 +107,10 @@ def _random_admissible_circle(rng):
     return circle.CircleFunction(space, lift % 1.0), lift
 
 
+@_criterion("2: circle closed form vs oracle", limit=5.0)
 def criterion_2_abelian_closed_form():
     """quotient_norm equals the exhaustive offset oracle on 1000 random
     small instances; the sup of cel on edgeless graphs approaches pi."""
-    start = time.perf_counter()
     rng = np.random.default_rng(202)
     mismatches = 0
     for _ in range(1000):
@@ -114,19 +124,16 @@ def criterion_2_abelian_closed_form():
     for _ in range(10_000):
         f = circle.CircleFunction(edgeless, rng.uniform(0, 1, size=8))
         top = max(top, circle.cel(f))
-    elapsed = time.perf_counter() - start
     sup_ok = math.pi - 1e-3 <= top <= math.pi
-    passed = mismatches == 0 and sup_ok and elapsed < 5.0
-    return _report("2: circle closed form vs oracle", passed,
-                   f"mismatches={mismatches}, sup cel={top:.6f}",
-                   elapsed, 5.0)
+    return (mismatches == 0 and sup_ok,
+            f"mismatches={mismatches}, sup cel={top:.6f}")
 
 
+@_criterion("3: el estimator soundness", limit=60.0)
 def criterion_3_el_estimator():
     """el_estimate upper lands in [exact, 1.05 exact] on 100 random
     unitaries; the log-norm lower bound never exceeds the upper bound on
     1000 random invertibles."""
-    start = time.perf_counter()
     rng = np.random.default_rng(303)
     bad_unitary = 0
     for idx in range(100):
@@ -147,17 +154,14 @@ def criterion_3_el_estimator():
             continue
         if bracket.lower > bracket.upper + 1e-6:
             bad_order += 1
-    elapsed = time.perf_counter() - start
-    passed = bad_unitary == 0 and bad_order == 0 and elapsed < 60.0
-    return _report("3: el estimator soundness", passed,
-                   f"unitary misses={bad_unitary}, order misses={bad_order}",
-                   elapsed, 60.0)
+    return (bad_unitary == 0 and bad_order == 0,
+            f"unitary misses={bad_unitary}, order misses={bad_order}")
 
 
+@_criterion("4: positive diagonal closed form")
 def criterion_4_positive_diagonal():
     """Length bracket collapses to |log d| on 100 random positive
     diagonals diag(d, 1/d), scalar and function algebras."""
-    start = time.perf_counter()
     rng = np.random.default_rng(404)
     quick = explength.EstimateBudget(optimize=False)
     worst = 0.0
@@ -176,16 +180,13 @@ def criterion_4_positive_diagonal():
         bracket = explength.el_estimate(g, budget=quick, seed=idx)
         worst = max(worst, abs(bracket.upper - exact),
                     abs(bracket.lower - exact))
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-6
-    return _report("4: positive diagonal closed form", passed,
-                   f"worst bracket gap={worst:.2e}", elapsed)
+    return worst <= 1e-6, f"worst bracket gap={worst:.2e}"
 
 
+@_criterion("5: rel below el")
 def criterion_5_rel_vs_el():
     """rel <= el on shared pools, and rel(exp(X)exp(Y)) <= |X+Y| on 500
     random pairs."""
-    start = time.perf_counter()
     rng = np.random.default_rng(505)
     quick = explength.EstimateBudget(optimize=False)
     bad_pool = 0
@@ -205,16 +206,14 @@ def criterion_5_rel_vs_el():
                                      initial_factors=[x, y])
         if rel > (x + y).op_norm() + 1e-9:
             bad_sum += 1
-    elapsed = time.perf_counter() - start
-    passed = bad_pool == 0 and bad_sum == 0
-    return _report("5: rel below el", passed,
-                   f"pool misses={bad_pool}, sum misses={bad_sum}", elapsed)
+    return (bad_pool == 0 and bad_sum == 0,
+            f"pool misses={bad_pool}, sum misses={bad_sum}")
 
 
+@_criterion("6: Trotter first-order convergence")
 def criterion_6_trotter():
     """Product-formula defect scales like 1/n: n * error(n) stays bounded
     and error halves (within [1.5, 3]) when n doubles, for n >= 64."""
-    start = time.perf_counter()
     rng = np.random.default_rng(606)
     alg = algebra.scalar_complex()
     ns = (16, 32, 64, 128, 256, 512)
@@ -239,18 +238,15 @@ def criterion_6_trotter():
             ratio = errors[n] / errors[2 * n]
             if not (1.5 <= ratio <= 3.0):
                 ratio_misses += 1
-    elapsed = time.perf_counter() - start
-    passed = bound_misses == 0 and ratio_misses == 0
-    return _report("6: Trotter first-order convergence", passed,
-                   f"bound misses={bound_misses}, ratio misses={ratio_misses}",
-                   elapsed)
+    return (bound_misses == 0 and ratio_misses == 0,
+            f"bound misses={bound_misses}, ratio misses={ratio_misses}")
 
 
+@_criterion("7: maximal-metric chain certificates")
 def criterion_7_metric_chains():
     """Coarse-properness and geodesic chains on 200 sampled p-unitaries,
     dims {4,8}, p in {1,2}: k stays below floor(2D/d) + floor(pi/d) + 2 and
     the constant-2 chain bounds hold."""
-    start = time.perf_counter()
     rng = np.random.default_rng(707)
     delta = 1.0
     failures = 0
@@ -271,16 +267,13 @@ def criterion_7_metric_chains():
             schatten.geodesic_chain(u)
         except AssertionError:
             failures += 1
-    elapsed = time.perf_counter() - start
-    passed = failures == 0
-    return _report("7: maximal-metric chain certificates", passed,
-                   f"failures={failures}", elapsed)
+    return failures == 0, f"failures={failures}"
 
 
+@_criterion("8: Haagerup witnesses")
 def criterion_8_haagerup():
     """Positive-definiteness of the Gaussian cocycle kernels, exactness of
     the cocycle identity, and the isometric fit of b(u) = u - 1."""
-    start = time.perf_counter()
     rng = np.random.default_rng(808)
     ctx = schatten.SchattenContext(6, 2)
     elements = [schatten.random_punitary(ctx, rng,
@@ -315,12 +308,9 @@ def criterion_8_haagerup():
     # distances reach the table through two float paths, so the additive
     # constant is compared at machine precision rather than literal zero
     fit_ok = fit.constant == 1.0 and fit.additive <= 1e-12
-    elapsed = time.perf_counter() - start
-    passed = gram_ok and cocycle_ok and fit_ok
-    return _report("8: Haagerup witnesses", passed,
-                   f"min eigs={['%.2e' % m for m in min_eigs]}, "
-                   f"cocycle residual={worst_cocycle:.2e}, fit={fit.as_pair()}",
-                   elapsed)
+    return (gram_ok and cocycle_ok and fit_ok,
+            f"min eigs={['%.2e' % m for m in min_eigs]}, "
+            f"cocycle residual={worst_cocycle:.2e}, fit={fit.as_pair()}")
 
 
 def _three_algebras():
@@ -329,10 +319,10 @@ def _three_algebras():
             algebra.function_algebra(5, [(0, 1), (1, 2), (3, 4)]))
 
 
+@_criterion("9: elementary bracket identities")
 def criterion_9_elementary_identities():
     """Structural bracket identities at 1e-12 across three algebras, and
     the traceless decomposition round trip."""
-    start = time.perf_counter()
     rng = np.random.default_rng(909)
     algebras = _three_algebras()
     worst_identity = 0.0
@@ -355,11 +345,9 @@ def criterion_9_elementary_identities():
         decomp = elementary.traceless_decompose(x, ctx)
         worst_rebuild = max(worst_rebuild,
                             (decomp.rebuild() - x).op_norm())
-    elapsed = time.perf_counter() - start
-    passed = worst_identity <= 1e-12 and worst_rebuild <= 1e-12
-    return _report("9: elementary bracket identities", passed,
-                   f"identity residual={worst_identity:.2e}, "
-                   f"rebuild residual={worst_rebuild:.2e}", elapsed)
+    return (worst_identity <= 1e-12 and worst_rebuild <= 1e-12,
+            f"identity residual={worst_identity:.2e}, "
+            f"rebuild residual={worst_rebuild:.2e}")
 
 
 def _project_traceless(x, ctx):
@@ -377,10 +365,10 @@ def _project_traceless(x, ctx):
         alg, x.n, x.n - 1, x.n - 1, corner)
 
 
+@_criterion("10: factorization invariant")
 def criterion_10_hs_determinant():
     """Factorization invariance of the determinant-style invariant modulo
     the lattice, and vanishing on elementary words."""
-    start = time.perf_counter()
     rng = np.random.default_rng(1010)
     alg = algebra.scalar_complex()
     ctx = elementary.HSDeterminantContext(alg)
@@ -404,11 +392,9 @@ def criterion_10_hs_determinant():
         cert = elementary.word_certificate(word)
         value = elementary.hs_determinant(cert, ctx)
         worst_word = max(worst_word, float(np.max(np.abs(value.raw))))
-    elapsed = time.perf_counter() - start
-    passed = worst_invariance <= 1e-8 and worst_word <= 1e-12
-    return _report("10: factorization invariant", passed,
-                   f"invariance={worst_invariance:.2e}, "
-                   f"elementary words={worst_word:.2e}", elapsed)
+    return (worst_invariance <= 1e-8 and worst_word <= 1e-12,
+            f"invariance={worst_invariance:.2e}, "
+            f"elementary words={worst_word:.2e}")
 
 
 def _split_certificate(g, rng):
@@ -427,10 +413,10 @@ def _split_certificate(g, rng):
     raise RuntimeError("could not build a split certificate")
 
 
+@_criterion("11: unboundedness witness")
 def criterion_11_unboundedness():
     """Witness brackets [log(m+1), m] verified exactly for
     m in {1, 10, 100, 10^6}; the lower bound passes 13 at m = 10^6."""
-    start = time.perf_counter()
     values = {}
     ok = True
     for m in (1, 10, 100, 10**6):
@@ -445,9 +431,7 @@ def criterion_11_unboundedness():
         ok = False
     if not values[10**6][0] > 13.0:
         ok = False
-    elapsed = time.perf_counter() - start
-    return _report("11: unboundedness witness", ok,
-                   f"lower(10^6)={values[10**6][0]:.4f}", elapsed)
+    return ok, f"lower(10^6)={values[10**6][0]:.4f}"
 
 
 CRITERIA = (

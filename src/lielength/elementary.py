@@ -86,17 +86,18 @@ def word_from_json(doc):
     Accepts either a bare list of ``{"kind": "E", "i": .., "j": .., "a": ..}``
     entries (payloads over the complex scalars, complex numbers as
     ``[re, im]``) or ``{"algebra": .., "n": .., "word": [..]}`` with payloads
-    encoded for that algebra.
+    encoded for that algebra.  An empty word is refused with ``ValueError``.
     """
     from .algebra import _value_from_json, algebra_from_json, scalar_complex
 
+    entries = doc["word"] if isinstance(doc, dict) else doc
+    if not entries:
+        raise ValueError("the word is empty; give at least one generator")
     if isinstance(doc, dict):
         alg = algebra_from_json(doc["algebra"])
         n = doc["n"]
-        entries = doc["word"]
     else:
         alg = scalar_complex()
-        entries = doc
         n = max(max(e["i"], e["j"]) for e in entries)
     word = []
     for e in entries:

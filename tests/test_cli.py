@@ -3,7 +3,9 @@
 import gc
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +313,101 @@ def test_reference_runs_keep_their_bracket_values(tmp_path, argv, pinned):
     got = {key: bracket["certificate"][key] if key == "residual"
            else bracket[key] for key in pinned}
     assert got == pytest.approx(pinned, rel=0, abs=1e-12)
+
+
+def _write_group_json(path):
+    from lielength.algebra import group_to_json
+    rng = np.random.default_rng(4)
+    x = ll.MatrixOverAlgebra.random(ll.scalar_complex(), 2, rng, scale=0.5)
+    path.write_text(json.dumps(group_to_json(ll.mat_exp(x))))
+
+
+@pytest.mark.parametrize("command", [["el", "estimate"], ["rel", "estimate"]],
+                         ids=["el", "rel"])
+def test_input_run_records_its_path_and_refuses_a_group(tmp_path, capsys,
+                                                        command):
+    path = tmp_path / "g.json"
+    _write_group_json(path)
+    assert run(command + ["--input", str(path), "--no-optimize"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["input"] == str(path) and "group" not in doc
+    assert run(command + ["--input", str(path), "--group", "gl3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"lielength: error: --input {str(path)!r} and "
+                            "--group 'gl3' name two elements; give one\n")
+
+
+@pytest.mark.parametrize("argv, header, rows", [
+    (["trotter", "--subdivisions", "16", "32"],
+     "commutator_error,n,product_error,product_error_times_n", 2),
+    (["en", "witness", "--m", "10"], "check,command,lower,m,upper", 1),
+], ids=["rows", "one-row"])
+def test_csv_without_out_goes_to_stdout(tmp_path, capsys, argv, header, rows):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--format", "csv", "--out", str(out)]) == 0
+    assert run(argv + ["--format", "csv"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_bytes().decode()
+    lines = printed.splitlines()
+    assert lines[0] == header and len(lines) == 1 + rows
+
+
+_EMPTY_WORD = ("lielength: error: the word is empty; give at least one "
+               "generator")
+
+
+@pytest.mark.parametrize("argv, word, last_line", [
+    (["schatten", "sandwich", "--step", "1"], None, "--step 1"),
+    (["schatten", "chain", "--samples", "0"], None, "--samples 0"),
+    (["schatten", "witness", "--step", "1"], None, "--step 1"),
+    (["en", "identities", "--m", "3"], None, "--m 3"),
+    (["en", "decompose", "--input", "x.json", "--seed", "1"], None,
+     "--seed 1"),
+    (["en", "hsdet", "--m", "3"], None, "--m 3"),
+    (["en", "witness", "--input", "missing.json"], None,
+     "--input missing.json"),
+    (["cel", "compute", "--input", "f.json", "--seed", "1"], None, "--seed 1"),
+    (["coarse", "--input", "map.json", "--seed", "1"], None, "--seed 1"),
+    (["suite", "acceptance", "--seed", "1"], None, "--seed 1"),
+    (["en", "decompose"], None, "lielength en decompose: error: the "
+     "following arguments are required: --input"),
+    (["en", "hsdet"], [], _EMPTY_WORD),
+    (["en", "hsdet"], {"algebra": {"kind": "scalar-complex"}, "n": 2,
+                       "word": []}, _EMPTY_WORD),
+], ids=["sandwich-step", "chain-samples", "witness-step", "identities-m",
+        "decompose-seed", "hsdet-m", "en-witness-input", "cel-seed",
+        "coarse-seed", "suite-seed", "decompose-no-input",
+        "hsdet-empty-list", "hsdet-empty-word"])
+def test_unread_options_and_unusable_inputs_exit_2(tmp_path, capsys, argv,
+                                                   word, last_line):
+    """An option the action does not read is argparse's usage error; an
+    unusable input is one ``lielength: error:`` line."""
+    if word is not None:
+        path = tmp_path / "word.json"
+        path.write_text(json.dumps(word))
+        argv = argv + ["--input", str(path)]
+    try:
+        status = run(argv)
+    except SystemExit as exc:  # argparse's usage error
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    if last_line.startswith("--"):
+        last_line = f"lielength: error: unrecognized arguments: {last_line}"
+    assert lines[-1] == last_line
+    assert len(lines) == 1 or lines[0].startswith("usage: lielength")
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("argv", [
+    shlex.split(line, comments=True)[1:]
+    for line in _README.read_text().splitlines()
+    if line.startswith("lielength ")], ids=" ".join)
+def test_readme_invocations_parse(argv):
+    """Every ``lielength ...`` line of the README is a valid invocation."""
+    cli.build_parser().parse_args(argv)
