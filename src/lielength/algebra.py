@@ -175,13 +175,8 @@ class BanachAlgebra:
             raise ValueError("components are defined for function algebras")
         return connected_components(self.vertices, self.edges)
 
-    def random_value(self, rng, scale=1.0):
-        shape = self.value_shape()
-        if self.kind == SCALAR_REAL:
-            return scale * rng.standard_normal(shape)
-        re = rng.standard_normal(shape)
-        im = rng.standard_normal(shape)
-        return scale * (re + 1j * im)
+    def random_value(self, rng):
+        return random_stack(self, 1, 1, rng)[0, 0, 0]
 
 
 def scalar_complex():
@@ -239,6 +234,17 @@ def stack_from_flat(algebra, n, flat):
     if algebra.kind == FUNCTIONS:
         return flat.swapaxes(-3, -1).swapaxes(-3, -2)
     return flat
+
+
+def random_stack(algebra, n, count, rng):
+    """``count`` random n-by-n matrices in data layout, in one generator
+    call: standard normal parts, for each entry in turn its real parts, then
+    its imaginary ones.  The one sampler of random values: ``count`` drawn at
+    once are the ``count`` drawn one by one."""
+    if algebra.kind == SCALAR_REAL:
+        return rng.standard_normal((count, n, n) + algebra.value_shape())
+    parts = rng.standard_normal((count, n, n, 2) + algebra.value_shape())
+    return parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
 
 
 def op_norms(entry_norms):
@@ -306,8 +312,7 @@ class MatrixOverAlgebra:
     def random(cls, algebra, n, rng, scale=1.0):
         if n < 1:
             raise ValueError(f"matrix size n must be >= 1, got {n}")
-        data = np.stack([algebra.random_value(rng, scale) for _ in range(n * n)])
-        return cls(algebra, data.reshape((n, n) + algebra.value_shape()))
+        return cls(algebra, scale * random_stack(algebra, n, 1, rng)[0])
 
     # -- entry access ------------------------------------------------------
     def entry_norms(self):

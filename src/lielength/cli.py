@@ -223,8 +223,7 @@ def _en_identities(args):
 
 def _en_decompose(args):
     x = algebra.matrix_from_json(_read_json(args.input))
-    ctx = elementary.HSDeterminantContext(x.algebra)
-    decomp = elementary.traceless_decompose(x, ctx)
+    decomp = elementary.traceless_decompose(x)
     residual = (decomp.rebuild() - x).op_norm()
     doc = {"command": "en decompose", "rebuild_residual": residual,
            "e_slots": sorted(map(str, decomp.e_coefficients)),
@@ -236,18 +235,17 @@ def _en_decompose(args):
 def _en_hsdet(args):
     if args.input:
         word = elementary.word_from_json(_read_json(args.input))
-        ctx = elementary.HSDeterminantContext(word[0].payload.algebra)
     else:
         rng = np.random.default_rng(args.seed)
         alg = algebra.scalar_complex()
-        ctx = elementary.HSDeterminantContext(alg)
         word = []
         for _ in range(4):
             i, j = rng.permutation(3)[:2] + 1
             payload = algebra.AlgebraElement(alg, alg.random_value(rng))
             word.append(elementary.gen_E(int(i), int(j), payload, 3))
     cert = elementary.word_certificate(word)
-    value = elementary.hs_determinant(cert, ctx)
+    value = elementary.hs_determinant(
+        cert, elementary.HSDeterminantContext(word[0].payload.algebra))
     doc = {"command": "en hsdet", "seed": args.seed,
            "raw": str(value.raw), "reduced": str(value.reduced),
            "check": "invariant vanishes on elementary words"}
@@ -264,12 +262,8 @@ def _en_witness(args):
 
 def _cmd_coarse(args):
     doc_in = _read_json(args.input)
-    domain = coarse.SampledSpace(doc_in["domain"]["ids"],
-                                 np.asarray(doc_in["domain"]["dist"]),
-                                 doc_in["domain"]["origin"])
-    codomain = coarse.SampledSpace(doc_in["codomain"]["ids"],
-                                   np.asarray(doc_in["codomain"]["dist"]),
-                                   doc_in["codomain"]["origin"])
+    domain, codomain = (coarse.SampledSpace(d["ids"], d["dist"], d["origin"])
+                        for d in (doc_in["domain"], doc_in["codomain"]))
     sample = coarse.CoarseMapSample(domain, codomain,
                                     [tuple(p) for p in doc_in["pairs"]])
     fit = coarse.fit_quasi_isometry(sample)
@@ -301,12 +295,24 @@ def _finite_float(text):
     return value
 
 
+class _ActionParser(argparse.ArgumentParser):
+    """The parser of a command or action: an option it does not take is
+    reported with its own usage line, not handed back to the root."""
+
+    def parse_known_args(self, *args, **kwargs):
+        namespace, extras = super().parse_known_args(*args, **kwargs)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser():
     """One parser per action, declaring exactly the options it reads."""
     parser = argparse.ArgumentParser(
         prog="lielength",
         description="desk-scale length geometry experiments on matrix groups")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     parser_class=_ActionParser)
 
     def action(subparsers, name, fn, *options, **kwargs):
         sub = subparsers.add_parser(name, **kwargs)

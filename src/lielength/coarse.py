@@ -13,7 +13,7 @@ through elements outside the sample).
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,38 +63,9 @@ class SampledSpace:
     def from_points(cls, ids, metric, origin):
         n = len(ids)
         dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = metric(ids[i], ids[j])
+        for i, j in itertools.combinations(range(n), 2):
+            dist[i, j] = dist[j, i] = metric(ids[i], ids[j])
         return cls(list(ids), dist, origin)
-
-    def to_json(self):
-        return {"ids": [str(p) for p in self.ids],
-                "origin": str(self.origin),
-                "dist": self.dist.tolist()}
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["point_a", "point_b", "distance"])
-            for i, a in enumerate(self.ids):
-                for j, b in enumerate(self.ids):
-                    if i < j:
-                        writer.writerow([a, b, self.dist[i, j]])
-
-    @classmethod
-    def read_csv(cls, path, origin=None):
-        rows = []
-        with open(path) as fh:
-            for row in csv.DictReader(fh):
-                rows.append((row["point_a"], row["point_b"],
-                             float(row["distance"])))
-        ids = sorted({r[0] for r in rows} | {r[1] for r in rows})
-        index = {p: k for k, p in enumerate(ids)}
-        dist = np.zeros((len(ids), len(ids)))
-        for a, b, value in rows:
-            dist[index[a], index[b]] = dist[index[b], index[a]] = value
-        return cls(ids, dist, origin if origin is not None else ids[0])
 
 
 @dataclass
@@ -112,11 +83,8 @@ class CoarseMapSample:
 
     def distance_pairs(self):
         """(d_X(x, y), d_Y(f(x), f(y))) over unordered point pairs."""
-        out = []
-        for k, (a, fa) in enumerate(self.pairs):
-            for b, fb in self.pairs[k + 1:]:
-                out.append((self.domain.d(a, b), self.codomain.d(fa, fb)))
-        return out
+        return [(self.domain.d(a, b), self.codomain.d(fa, fb))
+                for (a, fa), (b, fb) in itertools.combinations(self.pairs, 2)]
 
 
 @dataclass
@@ -178,20 +146,17 @@ class GeodesicReport:
                 f"radius {self.radius:g}")
 
 
-def check_large_scale_geodesic(space, constant, chain_fn, chain_dist,
-                               pairs=None):
-    """Verify the two chain inequalities for sampled pairs: step lengths at
-    most ``constant`` and d(g, h) <= constant * (sum of steps).
+def check_large_scale_geodesic(space, constant, chain_fn, chain_dist):
+    """Verify the two chain inequalities for every unordered sampled pair:
+    step lengths at most ``constant`` and d(g, h) <= constant * (sum of
+    steps).
 
     Reports the smallest admissible constant found on the sample; success
     at a constant implies success at any larger one.
     """
-    if pairs is None:
-        pairs = [(a, b) for i, a in enumerate(space.ids)
-                 for b in space.ids[i + 1:]]
     needed = 0.0
     worst = None
-    for a, b in pairs:
+    for a, b in itertools.combinations(space.ids, 2):
         chain = chain_fn(a, b)
         steps = [chain_dist(chain[i], chain[i + 1])
                  for i in range(len(chain) - 1)]
@@ -257,9 +222,8 @@ def fit_quasi_isometry(sample):
 
 def _additive_trend(pairs, k):
     """Forced additive constant restricted to pairs within eight growing
-    radii; an unbounded upward trend refutes the quasi-isometry ansatz."""
-    if not pairs:
-        return []
+    radii; an unbounded upward trend refutes the quasi-isometry ansatz.
+    ``pairs`` is not empty."""
     top = max(dx for dx, _ in pairs)
     if top == 0:
         return []
@@ -292,8 +256,9 @@ class CoarseModuli:
     expansive: bool
 
 
-def fit_coarse_moduli(sample, bin_width=None):
-    """Monotone envelopes of image distances per domain-distance bin.
+def fit_coarse_moduli(sample):
+    """Monotone envelopes of image distances per domain-distance bin, the
+    bins of width top / 20 for the largest domain distance top (1 if 0).
 
     ``lower`` is the largest non-decreasing minorant of the per-bin minima
     (suffix minima) and ``upper`` the smallest non-decreasing majorant of
@@ -304,13 +269,12 @@ def fit_coarse_moduli(sample, bin_width=None):
     if not pairs:
         return CoarseModuli([], [], [], False)
     top = max(dx for dx, _ in pairs)
-    if bin_width is None:
-        bin_width = top / 20.0 if top > 0 else 1.0
-    n_bins = max(1, int(math.ceil(top / bin_width))) if top > 0 else 1
+    bin_width = top / 20.0 if top > 0 else 1.0
+    n_bins = max(1, int(math.ceil(top / bin_width)))
     mins = [math.inf] * n_bins
     maxs = [-math.inf] * n_bins
     for dx, dy in pairs:
-        b = min(n_bins - 1, int(dx / bin_width)) if top > 0 else 0
+        b = min(n_bins - 1, int(dx / bin_width))
         mins[b] = min(mins[b], dy)
         maxs[b] = max(maxs[b], dy)
     occupied = [i for i in range(n_bins) if mins[i] != math.inf]

@@ -36,6 +36,7 @@ from .algebra import (
 from .explength import ElBracket, FactorizationCertificate
 
 GENERATOR_KINDS = ("E", "e", "f", "g")
+EMPTY_WORD = "the word is empty; give at least one generator"
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def word_from_json(doc):
 
     entries = doc["word"] if isinstance(doc, dict) else doc
     if not entries:
-        raise ValueError("the word is empty; give at least one generator")
+        raise ValueError(EMPTY_WORD)
     if isinstance(doc, dict):
         alg = algebra_from_json(doc["algebra"])
         n = doc["n"]
@@ -123,15 +124,12 @@ def gen_g(payload, n):
     return ElementaryGenerator("g", n, payload)
 
 
-def elementary_product(word, algebra=None, n=None):
+def elementary_product(word):
     """Product of group generators E(i, j, a), tagged as an element of the
-    elementary group.  The empty word is the identity; it needs the ambient
-    algebra and size passed explicitly since there is nothing to infer."""
+    elementary group.  An empty word is refused with ``ValueError``: it
+    names no algebra and no size."""
     if not word:
-        if algebra is None or n is None:
-            raise ValueError("empty word needs explicit algebra and n")
-        return GroupElement(MatrixOverAlgebra.identity(algebra, n), "En",
-                            validate=False)
+        raise ValueError(EMPTY_WORD)
     algebra = word[0].payload.algebra
     n = word[0].n
     out = MatrixOverAlgebra.identity(algebra, n)
@@ -310,15 +308,16 @@ class TracelessDecomposition:
         return out
 
 
-def traceless_decompose(x, ctx=None):
-    """Express a matrix with tau_n(X) = 0 in the e/f/g generator span.
+def traceless_decompose(x):
+    """Express a matrix with tau_n(X) = 0, tau the default trace of its
+    algebra, in the e/f/g generator span.
 
     Off-diagonal entries map to e coefficients; the diagonal is cleared by
     the cascade f(1,2)(x_11), f(2,3)(x_11 + x_22), ...; the remainder sits
     in the lower-right corner with vanishing trace.
     """
-    ctx = ctx or HSDeterminantContext(x.algebra)
-    trace_value = np.max(np.abs(ctx.trace_of_matrix(x)))
+    trace_value = np.max(np.abs(
+        HSDeterminantContext(x.algebra).trace_of_matrix(x)))
     if trace_value > 1e-10:
         raise ValueError(f"matrix has nonzero trace {trace_value:.3g}")
     n = x.n

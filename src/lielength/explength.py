@@ -20,7 +20,6 @@ import numpy as np
 
 from .algebra import (
     FUNCTIONS,
-    SCALAR_REAL,
     GroupElement,
     MatrixOverAlgebra,
     NumericFailureError,
@@ -32,6 +31,7 @@ from .algebra import (
     matrix_from_json,
     matrix_to_json,
     op_norms,
+    random_stack,
     stack_from_flat,
     stack_to_flat,
 )
@@ -279,17 +279,6 @@ def _initial_certificates(g, initial_factors):
     return pool
 
 
-def _draw(algebra, n, count, rng):
-    """``count`` random n-by-n matrices in data layout, in one generator call
-    that gives the stream of ``MatrixOverAlgebra.random`` called ``count``
-    times: for each entry in turn, its real parts, then its imaginary ones."""
-    shape = (count, n, n) + algebra.value_shape()
-    if algebra.kind == SCALAR_REAL:
-        return rng.standard_normal(shape)
-    parts = rng.standard_normal((count, n, n, 2) + algebra.value_shape())
-    return parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
-
-
 def _resplits(g, left, pair, step, count, rng):
     """The re-split trials of a pair of factors of g, given as left = exp X
     and pair = exp X exp Y in flat form, as one stack.  Trial t draws a
@@ -302,7 +291,7 @@ def _resplits(g, left, pair, step, count, rng):
     log skip the trial; a failed exp(step D/|D|) raises when the search
     reaches that trial, as it does on a trial-by-trial evaluation."""
     algebra, n, unitary = g.algebra, g.n, g.group_tag in ("U", "Up")
-    directions = _draw(algebra, n, count, rng)
+    directions = random_stack(algebra, n, count, rng)
     if unitary:
         adjoint = stack_from_flat(algebra, n, np.swapaxes(
             stack_to_flat(algebra, directions).conj(), -1, -2))
@@ -384,7 +373,7 @@ def _refine_factors(factors, g, objective, budget, rng):
                     best, best_val, improved = candidate, val, True
                     exps[i:i + 2] = round_trip
                     rng.bit_generator.state = state
-                    _draw(g.algebra, g.n, t + 1, rng)
+                    random_stack(g.algebra, g.n, t + 1, rng)
                     break
         if not improved:
             step *= 0.5

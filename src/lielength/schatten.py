@@ -69,11 +69,19 @@ def p_norm(a, context):
     the stack's shape, each equal to the norm of its matrix alone.
     """
     a = np.asarray(a, dtype=complex)
-    gram = np.swapaxes(a.conj(), -2, -1) @ a
-    s2, vecs = np.linalg.eigh(gram)
-    s = np.sqrt(np.clip(s2, 0.0, None))
-    vertex_weights = context.weights @ (np.abs(vecs) ** 2)
-    sums = np.sum(vertex_weights * s ** context.p, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(a.conj(), -2, -1) @ a
+        s2, vecs = np.linalg.eigh(gram)
+        s = np.sqrt(np.clip(s2, 0.0, None))
+        vertex_weights = context.weights @ (np.abs(vecs) ** 2)
+        sums = np.sum(vertex_weights * s ** context.p, axis=-1)
+    # Only the zero matrix has the power sum 0: any other 0, inf or NaN is
+    # the sum lost to the float range.  The cheap test on floats goes first.
+    flat = sums.ravel().tolist()
+    if not (min(flat) > 0.0 and sum(flat) < math.inf) and (
+            not np.isfinite(sums).all() or np.any(a[sums == 0])):
+        raise ValueError(f"p = {context.p:g}: the weighted sum of s^p leaves "
+                         "the float range")
     root = 1.0 / context.p
     if sums.ndim == 0:
         return float(sums ** root)
@@ -142,11 +150,11 @@ def random_punitary(context, rng, operator_norm=math.pi):
         random_selfadjoint(context.dim, rng, operator_norm), context)
 
 
-def sandwich_check(a, context, slack=1e-9):
+def sandwich_check(a, context):
     """The two-sided estimate (|a|_p / 2, |e^{ia} - 1|_p, |a|_p).
 
     Requires |a|_inf <= pi.  Raises AssertionError if either inequality
-    fails beyond the numeric slack.
+    fails by more than 1e-9.
     """
     a = np.asarray(a, dtype=complex)
     if np.linalg.norm(a - a.conj().T) > 1e-9 * (1 + np.linalg.norm(a)):
@@ -158,7 +166,7 @@ def sandwich_check(a, context, slack=1e-9):
     rhs = p_norm(a, context)
     lhs = 0.5 * rhs
     mid = u.dist_to_identity()
-    if not (lhs <= mid + slack and mid <= rhs + slack):
+    if not (lhs <= mid + 1e-9 and mid <= rhs + 1e-9):
         raise AssertionError(
             f"sandwich violated: {lhs} <= {mid} <= {rhs} fails")
     return lhs, mid, rhs

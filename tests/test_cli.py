@@ -284,6 +284,19 @@ def test_bad_numbers_exit_2_naming_the_constraint(capsys, argv, message):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("action", ["sandwich", "chain"])
+def test_a_p_whose_norms_leave_the_float_range_exits_2(capsys, action):
+    """At p = 1e308 every singular value other than 0 and 1 over- or
+    underflows s^p: one error line naming p, no JSON."""
+    argv = ["schatten", action, "--dim", "2", "--p", "1e308"]
+    status = run(argv + (["--samples", "2"] if action == "sandwich" else []))
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lielength: error: p = 1e+308: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_schatten_chain_refuses_a_step_past_the_cap(capsys):
     status = run(["schatten", "chain", "--step", "1e-9"])
     captured = capsys.readouterr()
@@ -381,8 +394,9 @@ _EMPTY_WORD = ("lielength: error: the word is empty; give at least one "
         "hsdet-empty-list", "hsdet-empty-word"])
 def test_unread_options_and_unusable_inputs_exit_2(tmp_path, capsys, argv,
                                                    word, last_line):
-    """An option the action does not read is argparse's usage error; an
-    unusable input is one ``lielength: error:`` line."""
+    """An option the action does not read is the usage error of that
+    action's own parser; an unusable input is one ``lielength: error:``
+    line."""
     if word is not None:
         path = tmp_path / "word.json"
         path.write_text(json.dumps(word))
@@ -395,10 +409,12 @@ def test_unread_options_and_unusable_inputs_exit_2(tmp_path, capsys, argv,
     assert status == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
+    prog = " ".join(["lielength"] + [w for w in argv[:2]
+                                     if not w.startswith("--")])
     if last_line.startswith("--"):
-        last_line = f"lielength: error: unrecognized arguments: {last_line}"
+        last_line = f"{prog}: error: unrecognized arguments: {last_line}"
     assert lines[-1] == last_line
-    assert len(lines) == 1 or lines[0].startswith("usage: lielength")
+    assert len(lines) == 1 or lines[0].startswith(f"usage: {prog} ")
 
 
 _README = Path(__file__).resolve().parent.parent / "README.md"

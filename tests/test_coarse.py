@@ -25,15 +25,6 @@ def test_sampled_space_invariants():
                             "a")
 
 
-def test_sampled_space_csv_round_trip(tmp_path):
-    space = line_space([0.0, 0.5, 2.0])
-    path = tmp_path / "space.csv"
-    space.write_csv(path)
-    back = coarse.SampledSpace.read_csv(path, origin="0.0")
-    assert np.allclose(np.sort(back.dist, axis=None),
-                       np.sort(space.dist, axis=None))
-
-
 # -- coarse properness -----------------------------------------------------------
 
 def test_coarsely_proper_single_steps():
@@ -189,8 +180,17 @@ def test_moduli_constant_map_not_expansive():
 
 
 def test_moduli_positive_diagonal_inclusion():
-    # diag(e^t, e^{-t}) included into the 2x2 group: lengths match |t - s|
-    # on both sides, so the lower envelope follows the identity line
+    """diag(e^t, e^{-t}) included into the 2x2 group: lengths match |t - s|
+    on both sides, so the lower envelope follows the identity line.
+
+    The nine points t = -2, -1.5, ..., 2 give the domain distances 0.5 k,
+    k = 1..8, so top = 4 and the 20 default bins have width 0.2.  Distance
+    0.5 k falls in bin floor(2.5 k), and 4.0 is clamped into the last bin,
+    19.  The occupied bins are 2, 5, 7, 10, 12, 15, 17 and 19, with centres
+    0.5, 1.1, 1.5, 2.1, 2.5, 3.1, 3.5 and 3.9.  Each holds one distance, so
+    lower and upper are both 0.5 k, each within half a width, 0.1, of its
+    centre.
+    """
     alg = ll.scalar_complex()
     ts = list(np.linspace(-2.0, 2.0, 9))
 
@@ -207,10 +207,15 @@ def test_moduli_positive_diagonal_inclusion():
     codomain = coarse.SampledSpace.from_points(ts, ambient_dist, ts[0])
     sample = coarse.CoarseMapSample(domain, codomain,
                                     [(t, t) for t in ts])
-    moduli = coarse.fit_coarse_moduli(sample, bin_width=0.5)
+    moduli = coarse.fit_coarse_moduli(sample)
     assert moduli.expansive
+    halves = [0.5 * k for k in range(1, 9)]
+    assert moduli.bin_edges == pytest.approx(
+        [0.5, 1.1, 1.5, 2.1, 2.5, 3.1, 3.5, 3.9], abs=1e-12)
+    assert moduli.lower == pytest.approx(halves, abs=1e-12)
+    assert moduli.upper == pytest.approx(halves, abs=1e-12)
     for edge, lo in zip(moduli.bin_edges, moduli.lower):
-        assert lo == pytest.approx(max(edge - 0.25, 0.0), abs=0.26)
+        assert abs(lo - edge) <= 0.1 + 1e-12
     fit = coarse.fit_quasi_isometry(sample)
     assert fit.constant == pytest.approx(1.0, abs=1e-9)
     assert fit.additive <= 1e-9

@@ -47,14 +47,14 @@ def test_elementary_product_dense_fixture():
     assert np.allclose(g.matrix.data, expected, atol=1e-12)
 
 
-def test_elementary_product_empty_word_is_identity():
-    alg = ll.scalar_complex()
-    g = ll.elementary_product([], algebra=alg, n=3)
-    ident = ll.MatrixOverAlgebra.identity(alg, 3)
-    assert (g.matrix - ident).op_norm() == 0.0
-    assert g.group_tag == "En"
-    with pytest.raises(ValueError):
+def test_elementary_product_refuses_the_empty_word():
+    """An empty word names no algebra and no size; it is refused with the
+    text ``word_from_json`` gives."""
+    with pytest.raises(ValueError, match="^the word is empty; give at least "
+                       "one generator$"):
         ll.elementary_product([])
+    with pytest.raises(ValueError, match="^the word is empty"):
+        elementary.word_from_json([])
 
 
 def test_elementary_product_rejects_lie_kinds():

@@ -125,12 +125,24 @@ def test_stacked_trials_follow_the_trial_by_trial_search(kind, trials,
     (ll.scalar_complex(), 2), (ll.scalar_real(), 3), (ll.matrix_algebra(3), 2),
     (ll.function_algebra(4, [(0, 1)]), 2)], ids=lambda a: getattr(a, "kind", ""))
 def test_one_draw_gives_the_stream_of_one_by_one_draws(alg, n):
+    """Five matrices drawn at once are five drawn one by one, and each entry
+    takes its real parts, then its imaginary ones, from the stream."""
     one_by_one = np.random.default_rng(9)
     stacked = np.random.default_rng(9)
+    by_entry = np.random.default_rng(9)
     expected = [ll.MatrixOverAlgebra.random(alg, n, one_by_one).data
                 for _ in range(5)]
-    assert np.array_equal(explength._draw(alg, n, 5, stacked), expected)
+    assert np.array_equal(algebra.random_stack(alg, n, 5, stacked), expected)
     assert stacked.bit_generator.state == one_by_one.bit_generator.state
+
+    def entry():
+        re = by_entry.standard_normal(alg.value_shape())
+        if alg.dtype == np.float64:
+            return re
+        return re + 1j * by_entry.standard_normal(alg.value_shape())
+
+    entries = np.stack([entry() for _ in range(5 * n * n)])
+    assert np.array_equal(entries.reshape(np.shape(expected)), expected)
 
 
 # -- verdicts per trial ------------------------------------------------------------

@@ -2,6 +2,7 @@
 action and its witnesses."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,34 @@ def test_p_norm_weighted_diagonal():
     ctx = ll.SchattenContext(2, 2, weights=np.array([2.0, 0.5]))
     value = ll.p_norm(np.diag([1.0, 2.0]), ctx)
     assert value == pytest.approx(math.sqrt(2 * 1 + 0.5 * 4), abs=1e-12)
+
+
+@pytest.mark.parametrize("p, scale", [(1e308, 2.0), (1e308, 0.5),
+                                      (2.0, 1e-200), (2.0, 1e200)],
+                         ids=["over", "under", "tiny-matrix", "huge-matrix"])
+def test_p_norm_refuses_a_power_sum_out_of_float_range(p, scale):
+    """s^p summed is inf, or 0 for a nonzero matrix: the norm is lost to the
+    float range, so it is refused, naming p, with no warning."""
+    ctx = ll.SchattenContext(2, p)
+    with pytest.raises(ValueError, match=re.escape(f"p = {p:g}: ")):
+        ll.p_norm(scale * np.eye(2), ctx)
+    with pytest.raises(ValueError, match=re.escape(f"p = {p:g}: ")):
+        ll.p_norm(np.stack([np.zeros((2, 2)), scale * np.eye(2)]), ctx)
+
+
+def test_p_norm_of_zero_matrices_stays_zero_at_any_p():
+    for p in (1.0, 2.0, 1e308):
+        ctx = ll.SchattenContext(2, p)
+        assert ll.p_norm(np.zeros((2, 2)), ctx) == 0.0
+        assert ll.p_norm(np.zeros((3, 2, 2)), ctx).tolist() == [0.0] * 3
+
+
+def test_p_norm_keeps_large_finite_powers():
+    """At p = 400, 2^400 is about 2.6e120: still in range, so the norm is
+    taken as before, 2^(1 + 1/400) for 2 I in dimension 2."""
+    ctx = ll.SchattenContext(2, 400.0)
+    assert ll.p_norm(2.0 * np.eye(2), ctx) == pytest.approx(
+        2.0 ** (1 + 1 / 400), rel=1e-14)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -75,7 +104,7 @@ def test_sandwich_random_sweep(dim, p):
     for _ in range(40):
         a = schatten.random_selfadjoint(dim, rng,
                                         rng.uniform(1e-3, math.pi))
-        lhs, mid, rhs = ll.sandwich_check(a, ctx, slack=1e-9)
+        lhs, mid, rhs = ll.sandwich_check(a, ctx)
         assert lhs <= mid + 1e-9 and mid <= rhs + 1e-9
 
 
