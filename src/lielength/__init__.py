@@ -43,8 +43,8 @@ from .coarse import (
 )
 from .elementary import (
     ElementaryGenerator,
-    HSDeterminantContext,
     bracket_identities_check,
+    check_tracial,
     conjugation_contraction,
     elementary_product,
     hs_determinant,

@@ -352,7 +352,7 @@ def criterion_9_elementary_identities():
 def _project_traceless(x):
     """Cancel tau_n(X) by adjusting the corner entry inside ker(tau)."""
     alg = x.algebra
-    value = elementary.HSDeterminantContext(alg).trace_of_matrix(x)
+    value = elementary.trace_of_matrix(x)
     if alg.kind == algebra.FUNCTIONS:
         corner = np.asarray(value)[np.asarray(alg.components())]
     elif alg.kind == algebra.MATRIX:
@@ -370,16 +370,15 @@ def criterion_10_hs_determinant():
     the lattice, and vanishing on elementary words."""
     rng = np.random.default_rng(1010)
     alg = algebra.scalar_complex()
-    ctx = elementary.HSDeterminantContext(alg)
     worst_invariance = 0.0
     for idx in range(100):
         g = random_gl(2, rng)
         cert_a = explength.FactorizationCertificate.from_factors(
             [algebra.mat_log(g)], g)
         cert_b = _split_certificate(g, rng)
-        da = elementary.hs_determinant(cert_a, ctx)
-        db = elementary.hs_determinant(cert_b, ctx)
-        diff, _ = elementary.reduce_mod_lattice(da.raw - db.raw, ctx.lattice)
+        da = elementary.hs_determinant(cert_a)
+        db = elementary.hs_determinant(cert_b)
+        diff, _ = elementary.reduce_mod_lattice(da.raw - db.raw)
         worst_invariance = max(worst_invariance, float(np.max(np.abs(diff))))
     worst_word = 0.0
     for idx in range(100):
@@ -389,7 +388,7 @@ def criterion_10_hs_determinant():
             payload = algebra.AlgebraElement(alg, alg.random_value(rng))
             word.append(elementary.gen_E(int(i), int(j), payload, 3))
         cert = elementary.word_certificate(word)
-        value = elementary.hs_determinant(cert, ctx)
+        value = elementary.hs_determinant(cert)
         worst_word = max(worst_word, float(np.max(np.abs(value.raw))))
     return (worst_invariance <= 1e-8 and worst_word <= 1e-12,
             f"invariance={worst_invariance:.2e}, "
@@ -416,21 +415,14 @@ def _split_certificate(g, rng):
 def criterion_11_unboundedness():
     """Witness brackets [log(m+1), m] verified exactly for
     m in {1, 10, 100, 10^6}; the lower bound passes 13 at m = 10^6."""
-    values = {}
-    ok = True
-    for m in (1, 10, 100, 10**6):
-        bracket = elementary.unboundedness_witness(m)
-        values[m] = (bracket.lower, bracket.upper)
-        if abs(bracket.lower - math.log(m + 1)) > 1e-12:
-            ok = False
-        if abs(bracket.upper - m) > 1e-12:
-            ok = False
-    lowers = [values[m][0] for m in (1, 10, 100, 10**6)]
-    if not all(a < b for a, b in zip(lowers, lowers[1:])):
-        ok = False
-    if not values[10**6][0] > 13.0:
-        ok = False
-    return ok, f"lower(10^6)={values[10**6][0]:.4f}"
+    ms = (1, 10, 100, 10**6)
+    brackets = [elementary.unboundedness_witness(m) for m in ms]
+    lowers = [b.lower for b in brackets]
+    ok = (all(abs(b.lower - math.log(m + 1)) <= 1e-12 and abs(b.upper - m)
+              <= 1e-12 for m, b in zip(ms, brackets))
+          and all(a < b for a, b in zip(lowers, lowers[1:]))
+          and lowers[-1] > 13.0)
+    return ok, f"lower(10^6)={lowers[-1]:.4f}"
 
 
 CRITERIA = (

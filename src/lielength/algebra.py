@@ -75,28 +75,27 @@ def spanning_forest(n_vertices, edges):
     order; tree edges point away from the root, in visiting order; the other
     edges keep their order and orientation.  Edges are (-1, 2) int arrays."""
     ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    tail, head = np.concatenate([ends, ends[:, ::-1]]).T
-    index = np.tile(np.arange(len(ends)), 2)
-    order = np.lexsort((index, head, tail))
-    start = np.searchsorted(tail[order], np.arange(n_vertices + 1)).tolist()
-    head, index = head[order].tolist(), index[order].tolist()
-    root_of = [-1] * n_vertices
-    in_tree = np.zeros(len(ends), dtype=bool)
+    adjacent = [[] for _ in range(n_vertices)]
+    for k, (u, v) in enumerate(ends.tolist()):
+        adjacent[u].append((v, k))
+        adjacent[v].append((u, k))
+    labels = [-1] * n_vertices
+    nontree = [True] * len(ends)
     tree = []
-    for root in range(n_vertices):
-        if root_of[root] < 0:
-            root_of[root] = root
-            queue = [root]
-            for u in queue:  # the loop also reaches the vertices appended below
-                for k in range(start[u], start[u + 1]):
-                    v = head[k]
-                    if root_of[v] < 0:
-                        root_of[v] = root
-                        in_tree[index[k]] = True
-                        tree.append((u, v))
-                        queue.append(v)
-    labels = np.unique(root_of, return_inverse=True)[1]
-    return labels, np.array(tree, dtype=np.intp).reshape(-1, 2), ends[~in_tree]
+    # the generator reads ``labels`` as it goes: it yields each root unlabelled
+    for label, root in enumerate(r for r in range(n_vertices) if labels[r] < 0):
+        labels[root] = label
+        queue = [root]
+        for u in queue:  # the loop also reaches the vertices appended below
+            for v, k in sorted(adjacent[u]):
+                if labels[v] < 0:
+                    labels[v] = label
+                    nontree[k] = False
+                    tree.append((u, v))
+                    queue.append(v)
+    return (np.array(labels, dtype=np.intp),
+            np.array(tree, dtype=np.intp).reshape(-1, 2),
+            ends[np.array(nontree, dtype=bool)])
 
 
 def connected_components(n_vertices, edges):
@@ -787,12 +786,24 @@ def algebra_to_json(algebra):
     return doc
 
 
+def json_fields(doc, what, *keys):
+    """The values of ``keys`` in the JSON object ``doc``, in order.
+    ValueError naming ``what`` when ``doc`` is not an object or lacks a key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {doc!r:.40}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} lacks the key {key!r}")
+    return [doc[key] for key in keys]
+
+
 def algebra_from_json(doc):
-    kind = doc["kind"]
+    (kind,) = json_fields(doc, "the algebra", "kind")
     if kind == MATRIX:
-        return matrix_algebra(doc["k"])
+        return matrix_algebra(*json_fields(doc, "a matrix algebra", "k"))
     if kind == FUNCTIONS:
-        return function_algebra(doc["vertices"], doc.get("edges", []))
+        (vertices,) = json_fields(doc, "a function algebra", "vertices")
+        return function_algebra(vertices, doc.get("edges", []))
     return BanachAlgebra(kind)
 
 
@@ -805,10 +816,12 @@ def matrix_to_json(x):
 
 
 def matrix_from_json(doc):
-    algebra = algebra_from_json(doc["algebra"])
-    x = MatrixOverAlgebra(algebra, _value_from_json(doc["entries"], algebra))
-    if x.n != doc["n"]:
-        raise ValueError(f"entries are {x.n}x{x.n} but n is {doc['n']}")
+    algebra_doc, n, entries = json_fields(doc, "a matrix", "algebra", "n",
+                                          "entries")
+    algebra = algebra_from_json(algebra_doc)
+    x = MatrixOverAlgebra(algebra, _value_from_json(entries, algebra))
+    if x.n != n:
+        raise ValueError(f"entries are {x.n}x{x.n} but n is {n}")
     return x
 
 

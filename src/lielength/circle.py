@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import graph_edges, read_only, spanning_forest
+from .algebra import graph_edges, json_fields, read_only, spanning_forest
 
 SAMPLING_GUARD = 1e-12
 WINDING_INT_TOL = 1e-6
@@ -118,8 +118,9 @@ class CircleFunction:
 
     @classmethod
     def from_json(cls, doc):
-        space = DiscretizedSpace(doc["vertices"], doc.get("edges", []))
-        return cls(space, np.asarray(doc["phase"], dtype=float))
+        vertices, phase = json_fields(doc, "a circle function", "vertices",
+                                      "phase")
+        return cls(DiscretizedSpace(vertices, doc.get("edges", [])), phase)
 
 
 @dataclass(frozen=True, eq=False)

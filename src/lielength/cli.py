@@ -244,8 +244,7 @@ def _en_hsdet(args):
             payload = algebra.AlgebraElement(alg, alg.random_value(rng))
             word.append(elementary.gen_E(int(i), int(j), payload, 3))
     cert = elementary.word_certificate(word)
-    value = elementary.hs_determinant(
-        cert, elementary.HSDeterminantContext(word[0].payload.algebra))
+    value = elementary.hs_determinant(cert)
     doc = {"command": "en hsdet", "seed": args.seed,
            "raw": str(value.raw), "reduced": str(value.reduced),
            "check": "invariant vanishes on elementary words"}
@@ -262,10 +261,13 @@ def _en_witness(args):
 
 def _cmd_coarse(args):
     doc_in = _read_json(args.input)
-    domain, codomain = (coarse.SampledSpace(d["ids"], d["dist"], d["origin"])
-                        for d in (doc_in["domain"], doc_in["codomain"]))
+    *spaces, pairs = algebra.json_fields(doc_in, "a coarse map", "domain",
+                                         "codomain", "pairs")
+    domain, codomain = (coarse.SampledSpace(*algebra.json_fields(
+        space, f"the {name}", "ids", "dist", "origin"))
+        for space, name in zip(spaces, ("domain", "codomain")))
     sample = coarse.CoarseMapSample(domain, codomain,
-                                    [tuple(p) for p in doc_in["pairs"]])
+                                    [tuple(p) for p in pairs])
     fit = coarse.fit_quasi_isometry(sample)
     moduli = coarse.fit_coarse_moduli(sample)
     doc = {"command": "coarse fit", "input": args.input,

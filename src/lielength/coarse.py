@@ -80,6 +80,12 @@ class CoarseMapSample:
         mapped = [a for a, _ in self.pairs]
         if sorted(map(str, mapped)) != sorted(map(str, self.domain.ids)):
             raise ValueError("every domain point must be mapped exactly once")
+        for a, fa in self.pairs:
+            if a not in self.domain.ids:
+                raise ValueError(f"{a!r} is not a domain point")
+            if fa not in self.codomain.ids:
+                raise ValueError(f"{a!r} maps to {fa!r}, which is not a "
+                                 "codomain point")
 
     def distance_pairs(self):
         """(d_X(x, y), d_Y(f(x), f(y))) over unordered point pairs."""

@@ -10,20 +10,20 @@ Generator vocabulary over an algebra A, all of size n:
 * ``g(a)``      -- Lie algebra: a at (n-1, n-1), with tau(a) = 0.
 
 The invariant of a factorization prod exp(X_k) is sum_k tau_n(X_k), where
-tau_n is the trace composed with a tracial functional on A; it is well
-defined modulo a supplied lattice (2*pi*i Z for the complex field, one
-generator per graph component for function algebras).
+tau_n is the trace composed with the tracial functional of A; it is well
+defined modulo the periods of that trace, 2*pi*i Z in each component (one
+for the scalars and matrix blocks, one per graph component for function
+algebras).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    FUNCTIONS,
     MATRIX,
     SCALAR_COMPLEX,
     SCALAR_REAL,
@@ -31,6 +31,9 @@ from .algebra import (
     BanachAlgebra,
     GroupElement,
     MatrixOverAlgebra,
+    _value_from_json,
+    algebra_from_json,
+    json_fields,
     scalar_complex,
 )
 from .explength import ElBracket, FactorizationCertificate
@@ -87,19 +90,23 @@ def word_from_json(doc):
     Accepts either a bare list of ``{"kind": "E", "i": .., "j": .., "a": ..}``
     entries (payloads over the complex scalars, complex numbers as
     ``[re, im]``) or ``{"algebra": .., "n": .., "word": [..]}`` with payloads
-    encoded for that algebra.  An empty word is refused with ``ValueError``.
+    encoded for that algebra.  An empty or malformed word is refused with
+    ``ValueError``.
     """
-    from .algebra import _value_from_json, algebra_from_json, scalar_complex
-
-    entries = doc["word"] if isinstance(doc, dict) else doc
+    bare = not isinstance(doc, dict)
+    entries = doc if bare else json_fields(doc, "a word", "algebra", "n",
+                                           "word")[2]
+    if not isinstance(entries, list):
+        raise ValueError(f"a word must be a JSON list, not {entries!r:.40}")
     if not entries:
         raise ValueError(EMPTY_WORD)
-    if isinstance(doc, dict):
-        alg = algebra_from_json(doc["algebra"])
-        n = doc["n"]
+    keys = ("kind", "a", "i", "j") if bare else ("kind", "a")
+    for e in entries:
+        json_fields(e, "a generator", *keys)
+    if bare:
+        alg, n = scalar_complex(), max(max(e["i"], e["j"]) for e in entries)
     else:
-        alg = scalar_complex()
-        n = max(max(e["i"], e["j"]) for e in entries)
+        alg, n = algebra_from_json(doc["algebra"]), doc["n"]
     word = []
     for e in entries:
         payload = AlgebraElement(alg, _value_from_json(e["a"], alg))
@@ -178,19 +185,19 @@ def bracket_identities_check(a, b, n, i, j):
 
 
 # ---------------------------------------------------------------------------
-# tracial functionals and the factorization invariant
+# the tracial functional and the factorization invariant
 
 
 def default_trace(algebra):
-    """The default tracial functional on an algebra, as a callable on raw
-    values: scalar identity, normalized matrix trace, per-component mean on
-    function algebras (returning a component vector)."""
+    """The tracial functional on an algebra, as a callable on raw values: the
+    scalar itself, the unnormalized matrix trace (det exp X = exp tr X), the
+    per-component mean on function algebras (returning a component vector)."""
     if algebra.kind in (SCALAR_COMPLEX, SCALAR_REAL):
         return lambda v: np.atleast_1d(np.asarray(v, dtype=complex))
     if algebra.kind == MATRIX:
         return lambda v: np.atleast_1d(np.trace(np.asarray(v, dtype=complex)))
     comps = np.asarray(algebra.components())
-    n_comp = int(comps.max()) + 1 if comps.size else 0
+    n_comp = int(comps.max()) + 1
 
     def mean_per_component(v):
         v = np.asarray(v, dtype=complex)
@@ -199,49 +206,23 @@ def default_trace(algebra):
     return mean_per_component
 
 
-def default_lattice(algebra):
-    """Lattice generators for the factorization invariant: 2*pi*i for
-    scalar and matrix algebras, 2*pi*i per graph component (scaled by the
-    trace of that component's unit) for function algebras."""
-    if algebra.kind != FUNCTIONS:
-        return [np.array([2j * math.pi])]
+def check_tracial(algebra, rng):
+    """Verify tau(xy - yx) = 0 to 1e-10 on 20 random sampled pairs."""
     trace = default_trace(algebra)
-    comps = np.asarray(algebra.components())
-    n_comp = int(comps.max()) + 1 if comps.size else 0
-    gens = []
-    for c in range(n_comp):
-        unit_c = np.where(comps == c, 1.0, 0.0)
-        gens.append(2j * math.pi * trace(unit_c))
-    return gens
+    worst = 0.0
+    for _ in range(20):
+        x, y = algebra.random_value(rng), algebra.random_value(rng)
+        comm = algebra.mul(x, y) - algebra.mul(y, x)
+        worst = max(worst, float(np.max(np.abs(trace(comm)))))
+    if worst > 1e-10:
+        raise AssertionError(f"trace fails on commutators by {worst}")
+    return worst
 
 
-@dataclass
-class HSDeterminantContext:
-    """Tracial functional and lattice data for the factorization invariant."""
-
-    algebra: BanachAlgebra
-    trace: object = field(init=False)
-    lattice: list = field(init=False)
-
-    def __post_init__(self):
-        self.trace = default_trace(self.algebra)
-        self.lattice = default_lattice(self.algebra)
-
-    def check_tracial(self, rng):
-        """Verify tau(xy - yx) = 0 to 1e-10 on 20 random sampled pairs."""
-        worst = 0.0
-        for _ in range(20):
-            x = self.algebra.random_value(rng)
-            y = self.algebra.random_value(rng)
-            comm = self.algebra.mul(x, y) - self.algebra.mul(y, x)
-            worst = max(worst, float(np.max(np.abs(self.trace(comm)))))
-        if worst > 1e-10:
-            raise AssertionError(f"trace fails on commutators by {worst}")
-        return worst
-
-    def trace_of_matrix(self, x):
-        """tau_n(X) = tau(sum of diagonal entries)."""
-        return np.asarray(self.trace(x.trace_sum().value))
+def trace_of_matrix(x):
+    """tau_n(X) = tau(sum of the diagonal entries), tau the trace of X's
+    algebra."""
+    return default_trace(x.algebra)(x.trace_sum().value)
 
 
 @dataclass
@@ -251,33 +232,24 @@ class HSDeterminantValue:
     lattice_coefficients: list
 
 
-def reduce_mod_lattice(value, generators):
-    """Nearest-lattice-point reduction of a vector in E: integer
-    coefficients from the rounded least-squares solution against the
-    generator matrix (exact for the default per-component generators)."""
+def reduce_mod_lattice(value):
+    """Reduction modulo the periods of the trace, 2*pi*i Z in each component
+    (the trace of a component's unit is 1): m = round(Im value / 2 pi), and
+    the reduced value is value - 2*pi*i m.  Returns (reduced, m as a list)."""
     value = np.atleast_1d(np.asarray(value, dtype=complex))
-    if not generators:
-        return value, []
-    basis = np.stack([np.atleast_1d(np.asarray(g, dtype=complex))
-                      for g in generators], axis=1)
-    real_basis = np.vstack([basis.real, basis.imag])
-    real_value = np.concatenate([value.real, value.imag])
-    coeffs, *_ = np.linalg.lstsq(real_basis, real_value, rcond=None)
-    m = np.round(coeffs).astype(int)
-    reduced = value - basis @ m
-    return reduced, m.tolist()
+    m = np.round(value.imag / (2 * math.pi)).astype(int)
+    return value - 2j * math.pi * m, m.tolist()
 
 
-def hs_determinant(cert, ctx):
+def hs_determinant(cert):
     """Sum of tau_n over the certificate's factors, reduced modulo the
-    context lattice.  Invariant of the target element: two factorizations
-    differ by a lattice element."""
+    periods of the trace of its algebra.  Invariant of the target element:
+    two factorizations differ by a period."""
     cert.check_invariants()
-    raw = np.zeros_like(np.atleast_1d(ctx.trace_of_matrix(
-        MatrixOverAlgebra.zeros(ctx.algebra, cert.target.n))))
-    for x in cert.factors:
-        raw = raw + ctx.trace_of_matrix(x)
-    reduced, coeffs = reduce_mod_lattice(raw, ctx.lattice)
+    trace = default_trace(cert.target.algebra)
+    raw = sum((trace(x.trace_sum().value) for x in cert.factors),
+              np.zeros_like(trace(cert.target.algebra.zero_value())))
+    reduced, coeffs = reduce_mod_lattice(raw)
     return HSDeterminantValue(raw, reduced, coeffs)
 
 
@@ -296,15 +268,12 @@ class TracelessDecomposition:
     algebra: BanachAlgebra
 
     def rebuild(self):
+        terms = [("e", i, j, a) for (i, j), a in self.e_coefficients.items()]
+        terms += [("f", i, j, a) for (i, j), a in self.f_coefficients.items()]
         out = MatrixOverAlgebra.zeros(self.algebra, self.n)
-        for (i, j), a in self.e_coefficients.items():
-            out = out + gen_e(i, j, AlgebraElement(self.algebra, a),
-                              self.n).matrix()
-        for (i, j), a in self.f_coefficients.items():
-            out = out + gen_f(i, j, AlgebraElement(self.algebra, a),
-                              self.n).matrix()
-        out = out + gen_g(AlgebraElement(self.algebra, self.g_coefficient),
-                          self.n).matrix()
+        for kind, i, j, a in terms + [("g", 0, 0, self.g_coefficient)]:
+            payload = AlgebraElement(self.algebra, a)
+            out += ElementaryGenerator(kind, self.n, payload, i, j).matrix()
         return out
 
 
@@ -316,16 +285,13 @@ def traceless_decompose(x):
     the cascade f(1,2)(x_11), f(2,3)(x_11 + x_22), ...; the remainder sits
     in the lower-right corner with vanishing trace.
     """
-    trace_value = np.max(np.abs(
-        HSDeterminantContext(x.algebra).trace_of_matrix(x)))
+    trace_value = np.max(np.abs(trace_of_matrix(x)))
     if trace_value > 1e-10:
         raise ValueError(f"matrix has nonzero trace {trace_value:.3g}")
     n = x.n
-    e_coeffs = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j and x.algebra.norm(x.data[i, j]) != 0.0:
-                e_coeffs[(i + 1, j + 1)] = x.data[i, j]
+    e_coeffs = {(i + 1, j + 1): x.data[i, j]
+                for i in range(n) for j in range(n)
+                if i != j and x.algebra.norm(x.data[i, j]) != 0.0}
     f_coeffs = {}
     carry = x.algebra.zero_value()
     for k in range(n - 1):

@@ -66,28 +66,47 @@ def p_norm(a, context):
 
     ``a`` is one matrix, whose norm is returned as a float, or a stack of
     matrices along the leading axes, whose norms are returned as an array of
-    the stack's shape, each equal to the norm of its matrix alone.
+    the stack's shape, each equal to the norm of its matrix alone.  Only a
+    matrix whose ``a* a`` is not finite is refused, with a ``ValueError``.
     """
     a = np.asarray(a, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(a.conj(), -2, -1) @ a
-        s2, vecs = np.linalg.eigh(gram)
-        s = np.sqrt(np.clip(s2, 0.0, None))
-        vertex_weights = context.weights @ (np.abs(vecs) ** 2)
+        gram, s, vertex_weights = _spectrum(a, context)
         sums = np.sum(vertex_weights * s ** context.p, axis=-1)
+    root = 1.0 / context.p
     # Only the zero matrix has the power sum 0: any other 0, inf or NaN is
     # the sum lost to the float range.  The cheap test on floats goes first.
     flat = sums.ravel().tolist()
-    if not (min(flat) > 0.0 and sum(flat) < math.inf) and (
-            not np.isfinite(sums).all() or np.any(a[sums == 0])):
-        raise ValueError(f"p = {context.p:g}: the weighted sum of s^p leaves "
-                         "the float range")
-    root = 1.0 / context.p
-    if sums.ndim == 0:
+    in_range = min(flat) > 0.0 and sum(flat) < math.inf
+    if in_range and sums.ndim == 0:
         return float(sums ** root)
     # The root is taken on each float64 scalar: the array power may round
     # differently in the last bit.
-    return np.array([t ** root for t in sums.ravel()]).reshape(sums.shape)
+    norms = np.array([t ** root for t in sums.ravel()]).reshape(sums.shape)
+    if not in_range:
+        if not np.isfinite(gram).all():
+            raise ValueError(f"p = {context.p:g}: a* a is not finite, so "
+                             "the singular values are lost to the float range")
+        # A lost norm is s_max (sum_j (...) (s_j / s_max)^p)^(1/p), with s
+        # taken on the matrix divided by its largest entry, so a* a cannot
+        # underflow.
+        lost = ~np.isfinite(sums) | (sums == 0) & a.any(axis=(-2, -1))
+        scale = np.abs(a[lost]).max(axis=(-2, -1), keepdims=True)
+        _, s, vertex_weights = _spectrum(a[lost] / scale, context)
+        top = s.max(axis=-1, keepdims=True)
+        ratios = np.sum(vertex_weights * (s / top) ** context.p, axis=-1)
+        norms[lost] = [c * m * t ** root for c, m, t in
+                       zip(scale.ravel().tolist(), top.ravel().tolist(), ratios)]
+    return float(norms) if sums.ndim == 0 else norms
+
+
+def _spectrum(a, context):
+    """a* a of each matrix of a stack, its singular values s_j, and the trace
+    weight sum_i w_i |V_ij|^2 of each singular vector."""
+    gram = np.swapaxes(a.conj(), -2, -1) @ a
+    s2, vecs = np.linalg.eigh(gram)
+    s = np.sqrt(np.clip(s2, 0.0, None))
+    return gram, s, context.weights @ (np.abs(vecs) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,24 +141,22 @@ def test_decompose_rejects_nonzero_trace():
 
 def test_hs_determinant_traceless_exponential():
     alg = ll.scalar_complex()
-    ctx = ll.HSDeterminantContext(alg)
     rng = np.random.default_rng(2)
     x = ll.MatrixOverAlgebra.random(alg, 2, rng, scale=0.5)
     x = x - ll.MatrixOverAlgebra.single_entry(alg, 2, 1, 1, x.trace_sum().value)
     g = ll.mat_exp(x)
     cert = ll.FactorizationCertificate.from_factors([x], g)
-    value = ll.hs_determinant(cert, ctx)
+    value = ll.hs_determinant(cert)
     assert np.max(np.abs(value.raw)) <= 1e-12
     assert np.max(np.abs(value.reduced)) <= 1e-12
 
 
 def test_hs_determinant_full_turn_reduces_to_zero():
     alg = ll.scalar_complex()
-    ctx = ll.HSDeterminantContext(alg)
     x = ll.MatrixOverAlgebra(alg, np.diag([2j * math.pi, 0.0 + 0j]))
     g = ll.mat_exp(x)  # the identity, reached the long way
     cert = ll.FactorizationCertificate.from_factors([x], g)
-    value = ll.hs_determinant(cert, ctx)
+    value = ll.hs_determinant(cert)
     assert np.max(np.abs(value.raw - 2j * math.pi)) <= 1e-12
     assert np.max(np.abs(value.reduced)) <= 1e-12
     assert value.lattice_coefficients == [1]
@@ -166,7 +164,6 @@ def test_hs_determinant_full_turn_reduces_to_zero():
 
 def test_hs_determinant_factorization_invariance():
     alg = ll.scalar_complex()
-    ctx = ll.HSDeterminantContext(alg)
     rng = np.random.default_rng(3)
     for idx in range(20):
         x = ll.MatrixOverAlgebra.random(alg, 2, rng, scale=0.6)
@@ -174,15 +171,14 @@ def test_hs_determinant_factorization_invariance():
         cert_a = ll.FactorizationCertificate.from_factors([x], g)
         bracket = ll.el_estimate(g, seed=idx)
         cert_b = bracket.certificate
-        da = ll.hs_determinant(cert_a, ctx)
-        db = ll.hs_determinant(cert_b, ctx)
-        diff, _ = elementary.reduce_mod_lattice(da.raw - db.raw, ctx.lattice)
+        da = ll.hs_determinant(cert_a)
+        db = ll.hs_determinant(cert_b)
+        diff, _ = elementary.reduce_mod_lattice(da.raw - db.raw)
         assert np.max(np.abs(diff)) <= 1e-8
 
 
 def test_hs_determinant_vanishes_on_elementary_words():
     alg = ll.scalar_complex()
-    ctx = ll.HSDeterminantContext(alg)
     rng = np.random.default_rng(4)
     for _ in range(30):
         word = []
@@ -190,23 +186,28 @@ def test_hs_determinant_vanishes_on_elementary_words():
             i, j = rng.permutation(3)[:2] + 1
             word.append(gen_E(int(i), int(j), elem(alg, rng=rng), 3))
         cert = elementary.word_certificate(word)
-        value = ll.hs_determinant(cert, ctx)
+        value = ll.hs_determinant(cert)
         assert np.max(np.abs(value.raw)) <= 1e-12
 
 
 def test_trace_vanishes_on_commutators():
     rng = np.random.default_rng(5)
     for alg in ALGEBRAS:
-        ctx = ll.HSDeterminantContext(alg)
-        assert ctx.check_tracial(rng) <= 1e-10
+        assert ll.check_tracial(alg, rng) <= 1e-10
 
 
 def test_function_algebra_lattice_per_component():
+    """One period 2*pi*i per graph component: a full turn on one component
+    and two back on the other reduce to 0 with coefficients [1, -2]."""
     alg = ll.function_algebra(5, [(0, 1), (1, 2), (3, 4)])
-    ctx = ll.HSDeterminantContext(alg)
-    assert len(ctx.lattice) == 2
-    for gen in ctx.lattice:
-        assert np.max(np.abs(gen)) == pytest.approx(2 * math.pi, abs=1e-12)
+    turns = np.array([1, 1, 1, -2, -2])
+    x = ll.MatrixOverAlgebra.diagonal(alg, [2j * math.pi * turns,
+                                            np.zeros(5, dtype=complex)])
+    cert = ll.FactorizationCertificate.from_factors([x], ll.mat_exp(x))
+    value = ll.hs_determinant(cert)
+    assert np.max(np.abs(value.raw - 2j * math.pi * np.array([1, -2]))) <= 1e-12
+    assert np.max(np.abs(value.reduced)) <= 1e-12
+    assert value.lattice_coefficients == [1, -2]
 
 
 # -- conjugation contraction ---------------------------------------------------------
@@ -284,10 +285,9 @@ def test_corner_generator_requires_vanishing_trace():
 
 def test_hs_determinant_of_empty_factorization_is_zero():
     alg = ll.scalar_complex()
-    ctx = ll.HSDeterminantContext(alg)
     ident = ll.GroupElement(ll.MatrixOverAlgebra.identity(alg, 2), "GL")
     cert = ll.FactorizationCertificate.from_factors([], ident)
-    value = ll.hs_determinant(cert, ctx)
+    value = ll.hs_determinant(cert)
     assert np.max(np.abs(value.raw)) == 0.0
 
 

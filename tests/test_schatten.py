@@ -28,17 +28,35 @@ def test_p_norm_weighted_diagonal():
     assert value == pytest.approx(math.sqrt(2 * 1 + 0.5 * 4), abs=1e-12)
 
 
-@pytest.mark.parametrize("p, scale", [(1e308, 2.0), (1e308, 0.5),
-                                      (2.0, 1e-200), (2.0, 1e200)],
-                         ids=["over", "under", "tiny-matrix", "huge-matrix"])
-def test_p_norm_refuses_a_power_sum_out_of_float_range(p, scale):
-    """s^p summed is inf, or 0 for a nonzero matrix: the norm is lost to the
-    float range, so it is refused, naming p, with no warning."""
+@pytest.mark.parametrize("p, scale, norm", [
+    (1e308, 2.0, 2.0), (1e308, 0.5, 0.5), (2.0, 1e-200, math.sqrt(2) * 1e-200),
+    (2.0, 1e200, None)], ids=["over", "under", "tiny-matrix", "huge-matrix"])
+def test_p_norm_refuses_a_power_sum_out_of_float_range(p, scale, norm):
+    """A sum of s^p that is inf, or 0 for a nonzero matrix, is taken again
+    relative to the top singular value, on the matrix scaled to its largest
+    entry, so at p = 1e308 the norm is the top singular value.  Only a
+    matrix whose a* a is not finite is refused, naming p, with no warning.
+    In a stack, the other norms keep the bytes they have alone."""
     ctx = ll.SchattenContext(2, p)
-    with pytest.raises(ValueError, match=re.escape(f"p = {p:g}: ")):
-        ll.p_norm(scale * np.eye(2), ctx)
-    with pytest.raises(ValueError, match=re.escape(f"p = {p:g}: ")):
-        ll.p_norm(np.stack([np.zeros((2, 2)), scale * np.eye(2)]), ctx)
+    stack = np.stack([np.zeros((2, 2)), np.eye(2), scale * np.eye(2)])
+    if norm is None:
+        for a in (stack[2], stack):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"p = {p:g}: a* a is not finite")):
+                ll.p_norm(a, ctx)
+        return
+    assert ll.p_norm(stack[2], ctx) == pytest.approx(norm, rel=1e-15)
+    norms = ll.p_norm(stack, ctx)
+    assert norms[:2].tolist() == [0.0, ll.p_norm(np.eye(2), ctx)]
+    assert norms[2] == ll.p_norm(stack[2], ctx)
+
+
+def test_p_norm_takes_a_norm_whose_power_sum_underflows():
+    """At p = 400, 0.002^400 underflows, but the norm of diag(0.002, 0.001)
+    is 0.002 (1 + 2^-400)^(1/400), which rounds to 0.002."""
+    ctx = ll.SchattenContext(2, 400.0)
+    assert ll.p_norm(np.diag([0.002, 0.001]), ctx) == pytest.approx(
+        0.002, rel=1e-15)
 
 
 def test_p_norm_of_zero_matrices_stays_zero_at_any_p():
