@@ -120,8 +120,10 @@ class BanachAlgebra:
     def __post_init__(self):
         if self.kind not in (SCALAR_COMPLEX, SCALAR_REAL, MATRIX, FUNCTIONS):
             raise ValueError(f"unknown algebra kind {self.kind!r}")
-        if self.kind == MATRIX and self.k < 1:
-            raise ValueError("matrix algebra needs k >= 1")
+        if self.kind == MATRIX and not (
+                isinstance(self.k, (int, np.integer)) and self.k >= 1):
+            raise ValueError(f"matrix algebra needs an integer k >= 1, not "
+                             f"{self.k!r}")
         if self.kind == FUNCTIONS:
             object.__setattr__(self, "edges",
                                graph_edges(self.vertices, self.edges))

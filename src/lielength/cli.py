@@ -266,8 +266,7 @@ def _cmd_coarse(args):
     domain, codomain = (coarse.SampledSpace(*algebra.json_fields(
         space, f"the {name}", "ids", "dist", "origin"))
         for space, name in zip(spaces, ("domain", "codomain")))
-    sample = coarse.CoarseMapSample(domain, codomain,
-                                    [tuple(p) for p in pairs])
+    sample = coarse.CoarseMapSample(domain, codomain, pairs)
     fit = coarse.fit_quasi_isometry(sample)
     moduli = coarse.fit_coarse_moduli(sample)
     doc = {"command": "coarse fit", "input": args.input,

@@ -13,6 +13,8 @@ through elements outside the sample).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,15 +31,21 @@ class SampledSpace:
     origin: object
 
     def __post_init__(self):
-        self.dist = np.asarray(self.dist, dtype=float)
+        try:
+            self._index = {p: k for k, p in enumerate(self.ids)}
+        except TypeError:  # not a list, or an id that is not hashable
+            self._index = None
+        if self._index is None or len(self._index) < len(self.ids):
+            raise ValueError(f"ids must be distinct scalars, not "
+                             f"{self.ids!r:.40}")
         n = len(self.ids)
+        self.dist = np.asarray(self.dist, dtype=float)
         if self.dist.shape != (n, n):
             raise ValueError("distance table shape mismatch")
         if not np.all(np.isfinite(self.dist)):
             raise ValueError("distances must be finite")
         if self.origin not in self.ids:
             raise ValueError("origin must be one of the point ids")
-        self._index = {p: k for k, p in enumerate(self.ids)}
         if np.any(np.abs(np.diag(self.dist)) > 1e-12):
             raise ValueError("dist(x, x) must be 0")
         if np.max(np.abs(self.dist - self.dist.T)) > 1e-9:
@@ -45,11 +53,8 @@ class SampledSpace:
         self.check_triangle()
 
     def check_triangle(self):
-        d = self.dist
-        n = d.shape[0]
-        for i in range(n):
-            through = d[i][None, :] + d[i][:, None]
-            if np.any(d > through + 1e-9):
+        for row in self.dist:
+            if np.any(self.dist > row[None, :] + row[:, None] + 1e-9):
                 raise ValueError("triangle inequality fails on the sample")
         return True
 
@@ -77,24 +82,45 @@ class CoarseMapSample:
     pairs: list
 
     def __post_init__(self):
-        mapped = [a for a, _ in self.pairs]
-        if sorted(map(str, mapped)) != sorted(map(str, self.domain.ids)):
-            raise ValueError("every domain point must be mapped exactly once")
+        if not (isinstance(self.pairs, (list, tuple)) and all(
+                isinstance(p, (list, tuple)) and len(p) == 2
+                for p in self.pairs)):
+            raise ValueError(f"pairs must be a list of [point, image] pairs, "
+                             f"not {self.pairs!r:.40}")
         for a, fa in self.pairs:
             if a not in self.domain.ids:
                 raise ValueError(f"{a!r} is not a domain point")
             if fa not in self.codomain.ids:
                 raise ValueError(f"{a!r} maps to {fa!r}, which is not a "
                                  "codomain point")
+        self._x, self._y = (np.array(
+            [space._index[p[side]] for p in self.pairs], dtype=np.intp)
+            for side, space in enumerate((self.domain, self.codomain)))
+        if sorted(self._x) != list(range(len(self.domain.ids))):
+            raise ValueError("every domain point must be mapped exactly once")
 
     def distance_pairs(self):
-        """(d_X(x, y), d_Y(f(x), f(y))) over unordered point pairs."""
-        return [(self.domain.d(a, b), self.codomain.d(fa, fb))
-                for (a, fa), (b, fb) in itertools.combinations(self.pairs, 2)]
+        """Two float arrays (d_X(x, y), d_Y(f(x), f(y))) over the unordered
+        pairs of ``pairs``, in ``itertools.combinations`` order, read from
+        the tables at the positions of the points and of their images."""
+        i, j = np.triu_indices(len(self.pairs), 1)
+        return (self.domain.dist[self._x[i], self._x[j]],
+                self.codomain.dist[self._y[i], self._y[j]])
+
+
+def _step_lengths(chain, chain_dist):
+    return [chain_dist(a, b) for a, b in itertools.pairwise(chain)]
+
+
+class _SampleLabel:
+    @property
+    def label(self):
+        return (f"sampled at {self.sample_size} points, "
+                f"radius {self.radius:g}")
 
 
 @dataclass
-class CoarseProperReport:
+class CoarseProperReport(_SampleLabel):
     """Weak certificate: every sampled point within the radius reached the
     origin through a chain of short steps."""
 
@@ -104,11 +130,6 @@ class CoarseProperReport:
     sample_size: int
     radius: float
     step_bound: float
-
-    @property
-    def label(self):
-        return (f"sampled at {self.sample_size} points, "
-                f"radius {self.radius:g}")
 
 
 def check_coarsely_proper(space, radius, step, chain_fn, chain_dist):
@@ -126,9 +147,7 @@ def check_coarsely_proper(space, radius, step, chain_fn, chain_dist):
         if space.to_origin(p) >= radius or p == space.origin:
             continue
         checked += 1
-        chain = chain_fn(p)
-        steps = [chain_dist(chain[i], chain[i + 1])
-                 for i in range(len(chain) - 1)]
+        steps = _step_lengths(chain_fn(p), chain_dist)
         bad = [s for s in steps if not s < step]
         if bad:
             failures.append((p, f"step {max(bad):g} >= {step:g}"))
@@ -139,46 +158,38 @@ def check_coarsely_proper(space, radius, step, chain_fn, chain_dist):
 
 
 @dataclass
-class GeodesicReport:
+class GeodesicReport(_SampleLabel):
     ok: bool
     smallest_constant: float
     worst_pair: tuple
     sample_size: int
     radius: float
 
-    @property
-    def label(self):
-        return (f"sampled at {self.sample_size} points, "
-                f"radius {self.radius:g}")
-
 
 def check_large_scale_geodesic(space, constant, chain_fn, chain_dist):
     """Verify the two chain inequalities for every unordered sampled pair:
-    step lengths at most ``constant`` and d(g, h) <= constant * (sum of
-    steps).
+    step lengths at most ``constant`` and (sum of steps) <= constant *
+    d(g, h).
 
     Reports the smallest admissible constant found on the sample; success
-    at a constant implies success at any larger one.
+    at a constant implies success at any larger one.  A chain with no step
+    needs 0 between equal points and inf otherwise, as does a chain of
+    positive length between points at distance 0.
     """
     needed = 0.0
     worst = None
     for a, b in itertools.combinations(space.ids, 2):
-        chain = chain_fn(a, b)
-        steps = [chain_dist(chain[i], chain[i + 1])
-                 for i in range(len(chain) - 1)]
-        d_ab = space.d(a, b)
-        if not steps:
-            pair_needed = 0.0 if d_ab == 0 else math.inf
+        steps = _step_lengths(chain_fn(a, b), chain_dist)
+        total, d_ab = sum(steps), space.d(a, b)
+        if d_ab == 0:
+            ratio = math.inf if total > 0 else 0.0
         else:
-            total = sum(steps)
-            ratio = 0.0 if d_ab == 0 else (
-                math.inf if total == 0 else d_ab / total)
-            pair_needed = max(max(steps), ratio)
+            ratio = total / d_ab if steps else math.inf
+        pair_needed = max(steps + [ratio])
         if pair_needed > needed:
-            needed = pair_needed
-            worst = (a, b)
+            needed, worst = pair_needed, (a, b)
     radius = float(np.max(space.dist)) if len(space.ids) > 1 else 0.0
-    return GeodesicReport(needed <= constant + 1e-9, needed, worst,
+    return GeodesicReport(bool(needed <= constant + 1e-9), needed, worst,
                           len(space.ids), radius)
 
 
@@ -193,11 +204,11 @@ class QuasiIsometryFit:
         return self.constant, self.additive
 
 
-def _required_additive(pairs, k):
-    need = 0.0
-    for dx, dy in pairs:
-        need = max(need, dy - k * dx, dx / k - dy)
-    return max(0.0, need)
+def _required_additive(dx, dy, k):
+    """The least L >= 0 with dx/k - L <= dy <= k dx + L on every pair.  At
+    k = inf a pair with dx = 0 gives inf * 0 = NaN, which ``fmax`` skips."""
+    with np.errstate(invalid="ignore"):
+        return max(0.0, float(np.fmax(dy - k * dx, dx / k - dy).max()))
 
 
 def fit_quasi_isometry(sample):
@@ -207,48 +218,46 @@ def fit_quasi_isometry(sample):
     The additive constant is forced per K; the fit returns the smallest
     K >= 1 (searched over the finite breakpoint set of pairwise ratios)
     whose forced L is minimal, so isometric samples give exactly (1, 0)
-    and pure c-scalings give (c, 0).
+    and pure c-scalings give (c, 0).  Rounding is monotone, so the forced
+    L never grows with K: that K is found by bisection.
     """
-    pairs = sample.distance_pairs()
-    if not pairs:
+    dx, dy = sample.distance_pairs()
+    if not dx.size:
         return QuasiIsometryFit(1.0, 0.0, False, [])
-    candidates = {1.0}
-    for dx, dy in pairs:
-        if dx > 0 and dy > 0:
-            candidates.add(max(dy / dx, 1.0))
-            candidates.add(max(dx / dy, 1.0))
-    grid = sorted(candidates)
-    forced = [(k, _required_additive(pairs, k)) for k in grid]
-    best_l = min(l for _, l in forced)
-    k_star, l_star = next((k, l) for k, l in forced if l <= best_l + 1e-12)
-    trend = _additive_trend(pairs, k_star)
-    refuted = _is_expanding(trend)
-    return QuasiIsometryFit(k_star, l_star, refuted, trend)
+    both = (dx > 0) & (dy > 0)
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        ratios = np.concatenate([[1.0], dy[both] / dx[both],
+                                 dx[both] / dy[both]])
+    grid = np.unique(np.maximum(ratios, 1.0)).tolist()
+    forced = functools.partial(_required_additive, dx, dy)
+    least = forced(grid[-1])
+    # grid[-1] satisfies the key, so the bisection need not evaluate it
+    k_star = grid[bisect.bisect_left(grid, True, hi=len(grid) - 1,
+                                     key=lambda k: forced(k) <= least + 1e-12)]
+    trend = _additive_trend(dx, dy, k_star)
+    return QuasiIsometryFit(k_star, forced(k_star), _is_expanding(trend),
+                            trend)
 
 
-def _additive_trend(pairs, k):
+def _additive_trend(dx, dy, k):
     """Forced additive constant restricted to pairs within eight growing
     radii; an unbounded upward trend refutes the quasi-isometry ansatz.
-    ``pairs`` is not empty."""
-    top = max(dx for dx, _ in pairs)
+    ``dx`` is not empty."""
+    top = float(dx.max())
     if top == 0:
         return []
-    edges = [top * (i + 1) / 8 for i in range(8)]
     out = []
-    for edge in edges:
-        inside = [p for p in pairs if p[0] <= edge]
-        if inside:
-            out.append((edge, _required_additive(inside, k)))
+    for edge in (top * (i + 1) / 8 for i in range(8)):
+        inside = dx <= edge
+        if inside.any():
+            out.append((edge, _required_additive(dx[inside], dy[inside], k)))
     return out
 
 
 def _is_expanding(trend):
-    if len(trend) < 3:
-        return False
     values = [l for _, l in trend]
-    increasing = all(values[i] <= values[i + 1] + 1e-12
-                     for i in range(len(values) - 1))
-    return increasing and values[-1] > 2.0 * max(values[0], 1e-12)
+    return (len(values) >= 3 and values[-1] > 2.0 * max(values[0], 1e-12)
+            and all(a <= b + 1e-12 for a, b in itertools.pairwise(values)))
 
 
 @dataclass
@@ -269,30 +278,20 @@ def fit_coarse_moduli(sample):
     ``lower`` is the largest non-decreasing minorant of the per-bin minima
     (suffix minima) and ``upper`` the smallest non-decreasing majorant of
     the per-bin maxima (prefix maxima).  The expansiveness flag records
-    whether the lower envelope keeps growing through the sampled range.
+    whether the lower envelope grows through the sampled range.
     """
-    pairs = sample.distance_pairs()
-    if not pairs:
+    dx, dy = sample.distance_pairs()
+    if not dx.size:
         return CoarseModuli([], [], [], False)
-    top = max(dx for dx, _ in pairs)
+    top = float(dx.max())
     bin_width = top / 20.0 if top > 0 else 1.0
     n_bins = max(1, int(math.ceil(top / bin_width)))
-    mins = [math.inf] * n_bins
-    maxs = [-math.inf] * n_bins
-    for dx, dy in pairs:
-        b = min(n_bins - 1, int(dx / bin_width))
-        mins[b] = min(mins[b], dy)
-        maxs[b] = max(maxs[b], dy)
-    occupied = [i for i in range(n_bins) if mins[i] != math.inf]
-    edges = [(i + 0.5) * bin_width for i in occupied]
-    raw_min = [mins[i] for i in occupied]
-    raw_max = [maxs[i] for i in occupied]
-    lower = list(raw_min)
-    for i in range(len(lower) - 2, -1, -1):
-        lower[i] = min(lower[i], lower[i + 1])
-    upper = list(raw_max)
-    for i in range(1, len(upper)):
-        upper[i] = max(upper[i], upper[i - 1])
-    expansive = bool(lower) and lower[-1] > lower[0] and \
-        lower[-1] == max(lower)
-    return CoarseModuli(edges, lower, upper, expansive)
+    bins = np.minimum(n_bins - 1, (dx / bin_width).astype(int))
+    mins, maxs = np.full(n_bins, math.inf), np.full(n_bins, -math.inf)
+    np.minimum.at(mins, bins, dy)
+    np.maximum.at(maxs, bins, dy)
+    occupied = np.flatnonzero(mins < math.inf)
+    lower = np.minimum.accumulate(mins[occupied][::-1])[::-1].tolist()
+    upper = np.maximum.accumulate(maxs[occupied]).tolist()
+    return CoarseModuli(((occupied + 0.5) * bin_width).tolist(), lower,
+                        upper, lower[-1] > lower[0])

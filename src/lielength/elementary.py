@@ -56,6 +56,11 @@ class ElementaryGenerator:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        for name in ("n", "i", "j"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"a generator's {name} must be an integer, "
+                                 f"not {value!r}")
         if self.kind in ("E", "e", "f"):
             if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
                 raise ValueError("slot out of range")
@@ -104,7 +109,9 @@ def word_from_json(doc):
     for e in entries:
         json_fields(e, "a generator", *keys)
     if bare:
-        alg, n = scalar_complex(), max(max(e["i"], e["j"]) for e in entries)
+        # a slot that is not an integer is refused by its generator
+        slots = [e[k] for e in entries for k in "ij" if isinstance(e[k], int)]
+        alg, n = scalar_complex(), max(slots, default=0)
     else:
         alg, n = algebra_from_json(doc["algebra"]), doc["n"]
     word = []

@@ -214,19 +214,20 @@ def coarse_proper_chain(u, delta_cap, step):
         raise ValueError(
             f"step {step} needs a chain of more than MAX_CHAIN_STEPS = "
             f"{MAX_CHAIN_STEPS} steps")
-    chain = _subdivided_chain(u, math.floor(ratio) + 1)
+    chain = _subdivided_chain(u.principal_log_selfadjoint(), u.context,
+                              math.floor(ratio) + 1)
     if max(_step_lengths(chain)) >= step:
         raise AssertionError("subdivided chain exceeded the step bound")
     return chain
 
 
-def _subdivided_chain(u, k):
-    a = u.principal_log_selfadjoint()
+def _subdivided_chain(a, context, k):
+    """The chain e^{i a j / k}, j = 0..k, for a self-adjoint log ``a``."""
     lam, vecs = np.linalg.eigh(a)
-    chain = [PUnitary.identity(u.context)]
+    chain = [PUnitary.identity(context)]
     for j in range(1, k + 1):
         m = exp_i_selfadjoint(lam * (j / k), vecs)
-        chain.append(PUnitary(u.context, m))
+        chain.append(PUnitary(context, m))
     return chain
 
 
@@ -248,7 +249,7 @@ class GeodesicChainReport:
         if not self.step_lengths:
             return True
         return (max(self.step_lengths) <= 2.0 + 1e-9
-                and self.distance <= 2.0 * self.sum_of_steps + 1e-9)
+                and self.sum_of_steps <= 2.0 * self.distance + 1e-9)
 
 
 def geodesic_chain(u):
@@ -260,10 +261,10 @@ def geodesic_chain(u):
     a = u.principal_log_selfadjoint()
     anorm = p_norm(a, u.context)
     n = 1 if anorm <= 1.0 else math.ceil(anorm / 2.0)
-    chain = _subdivided_chain(u, n)
+    chain = _subdivided_chain(a, u.context, n)
     steps = _step_lengths(chain)
     report = GeodesicChainReport(chain, steps, float(sum(steps)), d0)
-    if max(steps) > 2.0 + 1e-9 or report.sum_of_steps > 2.0 * d0 + 1e-9:
+    if not report.satisfies_large_scale_geodesic:
         raise AssertionError("geodesic chain violated the constant-2 bounds")
     return report
 

@@ -137,9 +137,32 @@ def test_coarse_fit_command(tmp_path):
     path.write_text(json.dumps(doc))
     out = tmp_path / "fit.json"
     assert run(["coarse", "--input", str(path), "--out", str(out)]) == 0
-    fit = json.loads(out.read_text())
-    assert fit["multiplicative"] == pytest.approx(3.0)
-    assert fit["additive"] == pytest.approx(0.0, abs=1e-12)
+    assert out.read_text() == _COARSE_FIT_JSON % json.dumps(str(path))
+
+
+_COARSE_FIT_JSON = """{
+  "additive": 0.0,
+  "command": "coarse fit",
+  "input": %s,
+  "label": "sampled at 3 points",
+  "moduli": {
+    "bins": [
+      1.05,
+      1.9500000000000002
+    ],
+    "expansive": true,
+    "lower": [
+      3.0,
+      6.0
+    ],
+    "upper": [
+      3.0,
+      6.0
+    ]
+  },
+  "multiplicative": 3.0,
+  "refuted": false
+}"""
 
 
 def test_en_hsdet_reads_word_json(tmp_path):
@@ -246,9 +269,23 @@ _COARSE_SPACE = {"ids": [0, 1], "dist": [[0, 1], [1, 0]], "origin": 0}
      "1 maps to 7, which is not a codomain point"),
     (["coarse"], {"domain": _COARSE_SPACE, "codomain": _COARSE_SPACE,
                   "pairs": [["0", 0], [1, 1]]}, "'0' is not a domain point"),
+    (["el", "estimate"], {"algebra": {"kind": "matrix", "k": "2"}, "n": 1,
+                          "entries": []},
+     "matrix algebra needs an integer k >= 1, not '2'"),
+    (["en", "hsdet"], [{"kind": "E", "i": "1", "j": 2, "a": [1, 0]}],
+     "a generator's i must be an integer, not '1'"),
+    (["coarse"], {"domain": _COARSE_SPACE, "codomain": _COARSE_SPACE,
+                  "pairs": 5}, "pairs must be a list of [point, image] pairs, "
+     "not 5"),
+    (["coarse"], {"domain": {"ids": [[0], [1]], "dist": [[0, 1], [1, 0]],
+                             "origin": [0]},
+                  "codomain": _COARSE_SPACE, "pairs": [[[0], 0], [[1], 1]]},
+     "ids must be distinct scalars, not [[0], [1]]"),
 ], ids=["el-list", "el-algebra-kind", "rel-entries", "cel-phase", "cel-list",
         "decompose-algebra-list", "hsdet-string", "hsdet-payload",
-        "coarse-list", "coarse-origin", "coarse-image", "coarse-domain-id"])
+        "coarse-list", "coarse-origin", "coarse-image", "coarse-domain-id",
+        "el-k-string", "hsdet-slot-string", "coarse-pairs-number",
+        "coarse-list-ids"])
 def test_malformed_input_json_exits_2_naming_the_field(tmp_path, capsys,
                                                        command, doc, message):
     """JSON of the wrong shape or missing a key is unusable input: one error
@@ -256,6 +293,25 @@ def test_malformed_input_json_exits_2_naming_the_field(tmp_path, capsys,
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     assert run(command + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lielength: error: {message}\n"
+
+
+@pytest.mark.parametrize("domain, pairs, message", [
+    ({"ids": [1, "1"], "dist": [[0, 1], [1, 0]], "origin": 1},
+     [[1, 0], [1, 1]], "every domain point must be mapped exactly once"),
+    ({"ids": [0, 0], "dist": [[0, 0], [0, 0]], "origin": 0},
+     [[0, 0], [0, 1]], "ids must be distinct scalars, not [0, 0]"),
+], ids=["one-id-twice-another-never", "duplicate-id"])
+def test_coarse_map_maps_each_domain_position_once(tmp_path, capsys, domain,
+                                                   pairs, message):
+    """Each domain point is mapped exactly once by position: ids that print
+    alike are told apart, and a domain that lists an id twice is refused."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"domain": domain, "codomain": _COARSE_SPACE,
+                                "pairs": pairs}))
+    assert run(["coarse", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"lielength: error: {message}\n"

@@ -1,5 +1,6 @@
 """Sampled-space checkers: chains, quasi-isometry fitting, moduli envelopes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +119,27 @@ def test_geodesic_two_point_counterexample():
         space, report.smallest_constant, lambda a, b: [a, b],
         lambda a, b: abs(a - b))
     assert relaxed.ok
+
+
+def test_geodesic_detour_chain_needs_its_length_ratio():
+    """A chain from 0 out to 100 and back to 10 in unit steps has length 190
+    between points at distance 10: it certifies no constant below 19."""
+    space = line_space([0.0, 10.0])
+    detour = [float(t) for t in range(101)] + \
+        [float(t) for t in range(99, 9, -1)]
+    report = coarse.check_large_scale_geodesic(
+        space, 2.0, lambda a, b: detour, lambda a, b: abs(a - b))
+    assert report.ok is False
+    assert report.smallest_constant == 19.0
+    assert report.worst_pair == (0.0, 10.0)
+
+
+def test_geodesic_positive_chain_between_equal_points_needs_inf():
+    dist = np.zeros((2, 2))
+    space = coarse.SampledSpace(["a", "b"], dist, "a")
+    report = coarse.check_large_scale_geodesic(
+        space, 1e6, lambda a, b: [0.0, 1.0, 0.0], lambda a, b: abs(a - b))
+    assert report.ok is False and report.smallest_constant == math.inf
 
 
 # -- quasi-isometry fitting -----------------------------------------------------------
@@ -242,3 +264,128 @@ def test_sampled_space_rejects_non_finite_distances(bad):
     dist = np.array([[0.0, bad], [bad, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         coarse.SampledSpace(["a", "b"], dist, "a")
+
+
+# -- the fit and the moduli against the full scan -----------------------------------
+
+def _scan(sample):
+    """The full scan that ``fit_quasi_isometry`` and ``fit_coarse_moduli``
+    replace, in Python floats: every pairwise ratio is a candidate K, and
+    each candidate visits every pair.  Returns (constant, additive, trend,
+    refuted) and the moduli fields."""
+    pairs = [(sample.domain.d(a, b), sample.codomain.d(fa, fb))
+             for (a, fa), (b, fb) in itertools.combinations(sample.pairs, 2)]
+    if not pairs:
+        return (1.0, 0.0, [], False), ([], [], [], False)
+
+    def forced(ps, k):
+        need = 0.0
+        for dx, dy in ps:
+            need = max(need, dy - k * dx, dx / k - dy)
+        return max(0.0, need)
+
+    grid = sorted({1.0} | {max(r, 1.0) for dx, dy in pairs if dx > 0 and dy > 0
+                           for r in (dy / dx, dx / dy)})
+    ls = [forced(pairs, k) for k in grid]
+    k, l = next((k, l) for k, l in zip(grid, ls) if l <= min(ls) + 1e-12)
+    top = max(dx for dx, _ in pairs)
+    edges = [top * (i + 1) / 8 for i in range(8)] if top else []
+    trend = [(e, forced([p for p in pairs if p[0] <= e], k)) for e in edges
+             if any(p[0] <= e for p in pairs)]
+    width = top / 20.0 if top > 0 else 1.0
+    n = max(1, int(math.ceil(top / width)))
+    mins, maxs = [math.inf] * n, [-math.inf] * n
+    for dx, dy in pairs:
+        b = min(n - 1, int(dx / width))
+        mins[b], maxs[b] = min(mins[b], dy), max(maxs[b], dy)
+    occupied = [i for i in range(n) if mins[i] != math.inf]
+    lower = [min(mins[j] for j in occupied[m:]) for m in range(len(occupied))]
+    upper = [max(maxs[j] for j in occupied[:m + 1])
+             for m in range(len(occupied))]
+    expansive = bool(lower) and lower[-1] > lower[0] and \
+        lower[-1] == max(lower)
+    return ((k, l, trend, coarse._is_expanding(trend)),
+            ([(i + 0.5) * width for i in occupied], lower, upper, expansive))
+
+
+def _indexed_sample(xs, ys, rng):
+    """Point i at xs[i] mapped to image point perm[i] at ys[i], the pairs
+    listed in a shuffled order, so positions differ from ids."""
+    n = len(xs)
+    perm = rng.permutation(n).tolist()
+    at = {perm[i]: ys[i] for i in range(n)}
+    domain = coarse.SampledSpace.from_points(
+        list(range(n)), lambda a, b: math.dist(xs[a], xs[b]), 0)
+    codomain = coarse.SampledSpace.from_points(
+        list(range(n)), lambda a, b: math.dist(at[a], at[b]), perm[0])
+    order = rng.permutation(n).tolist()
+    return coarse.CoarseMapSample(domain, codomain,
+                                  [(i, perm[i]) for i in order])
+
+
+def _reference_samples(count):
+    rng = np.random.default_rng(15)
+    for idx in range(count):
+        kind = idx % 8
+        n, dim = 1 + (idx // 8) % 12, 1 + idx % 2
+        xs = rng.uniform(-5, 5, size=(n, dim))
+        if kind == 5:  # a pair at distance 0
+            xs = np.vstack([xs[:1], xs])
+        if kind == 6:  # a ratio of about 1 / 5e-324, past the float range
+            xs = np.vstack([np.zeros((2, dim)), np.full((1, dim), 5e-324),
+                            xs])
+        c = rng.uniform(0.1, 10.0)
+        ys = {0: xs, 1: -xs, 2: c * xs, 3: np.round(xs, 1),
+              4: c * xs + rng.normal(0, 0.3, size=xs.shape),
+              5: rng.uniform(-5, 5, size=xs.shape), 6: np.vstack(
+                  [np.zeros((1, dim)), np.full((1, dim), 2.0),
+                   np.ones((1, dim)), xs[3:]]),
+              7: np.sin(xs) * c}[kind]
+        yield _indexed_sample(xs.tolist(), ys.tolist(), rng)
+
+
+def test_fit_and_moduli_match_the_full_scan():
+    """On 240 seeded samples, among them one- and two-point samples, pairs
+    at distance 0 and a grid holding inf, the bisection and the array
+    reductions give the full scan's fields, bit for bit, as Python
+    floats."""
+    seen = set()
+    for sample in _reference_samples(240):
+        (k, l, trend, refuted), moduli = _scan(sample)
+        fit = coarse.fit_quasi_isometry(sample)
+        assert (fit.constant, fit.additive, fit.trend, fit.refuted) == \
+            (k, l, trend, refuted)
+        got = coarse.fit_coarse_moduli(sample)
+        assert (got.bin_edges, got.lower, got.upper, got.expansive) == moduli
+        assert all(type(v) is float for v in (
+            fit.constant, fit.additive, *got.bin_edges, *got.lower,
+            *got.upper, *itertools.chain.from_iterable(fit.trend)))
+        assert type(fit.refuted) is bool and type(got.expansive) is bool
+        seen |= {len(sample.pairs),
+                 "distance 0" if np.any(sample.distance_pairs()[0] == 0)
+                 else None, "K = inf" if fit.constant == math.inf else None}
+    assert {1, 2, "distance 0", "K = inf"} <= seen
+
+
+def test_fit_bisects_the_ratio_grid(monkeypatch):
+    """On 80 points the grid holds thousands of ratios; the forced additive
+    constant over all pairs is taken at most ceil(log2(len(grid))) + 2
+    times."""
+    rng = np.random.default_rng(80)
+    xs = rng.uniform(-10, 10, size=(80, 2))
+    ys = 1.7 * xs + rng.normal(0, 0.5, size=xs.shape)
+    sample = _indexed_sample(xs.tolist(), ys.tolist(), rng)
+    dx, dy = sample.distance_pairs()
+    grid = {1.0} | {max(r, 1.0) for a, b in zip(dx, dy) for r in (b / a, a / b)}
+    full = []
+    inner = coarse._required_additive
+
+    def counted(dx_, dy_, k):
+        if len(dx_) == len(dx):
+            full.append(k)
+        return inner(dx_, dy_, k)
+
+    monkeypatch.setattr(coarse, "_required_additive", counted)
+    coarse.fit_quasi_isometry(sample)
+    assert len(grid) > 3000
+    assert 0 < len(full) <= math.ceil(math.log2(len(grid))) + 2

@@ -277,6 +277,13 @@ def test_geodesic_chain_norm_five_uses_three_steps():
     assert report.satisfies_large_scale_geodesic
 
 
+def test_geodesic_report_bounds_the_chain_by_the_distance():
+    """Three unit steps between points at distance 1 exceed twice the
+    distance, though the distance is below twice their sum."""
+    report = schatten.GeodesicChainReport([], [1.0, 1.0, 1.0], 3.0, 1.0)
+    assert not report.satisfies_large_scale_geodesic
+
+
 def test_geodesic_chain_small_norm_single_step():
     ctx = ll.SchattenContext(2, 2)
     rng = np.random.default_rng(9)
