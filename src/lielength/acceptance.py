@@ -147,12 +147,9 @@ def criterion_3_el_estimator():
     bad_order = 0
     for idx in range(1000):
         g = random_gl(2 + idx % 3, rng)
-        try:
-            bracket = explength.el_estimate(g, budget=quick, seed=idx)
-        except explength.NoFactorizationError:
-            bad_order += 1
-            continue
-        if bracket.lower > bracket.upper + 1e-6:
+        try:  # ElBracket refuses an order miss
+            explength.el_estimate(g, budget=quick, seed=idx)
+        except (explength.NoFactorizationError, AssertionError):
             bad_order += 1
     return (bad_unitary == 0 and bad_order == 0,
             f"unitary misses={bad_unitary}, order misses={bad_order}")
@@ -194,7 +191,7 @@ def criterion_5_rel_vs_el():
         g = random_gl(2, rng)
         upper = explength.el_estimate(g, budget=quick, seed=idx).upper
         rel = explength.rel_estimate(g, budget=quick, seed=idx)
-        if rel > upper + 1e-9:
+        if not explength.in_order(rel, upper):
             bad_pool += 1
     bad_sum = 0
     alg = algebra.scalar_complex()

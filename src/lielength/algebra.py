@@ -481,7 +481,8 @@ _NO_REAL_LOG = "no real logarithm: spectrum requires a complex branch"
 
 def _exceeds_exp_bound(norm, exp_norm):
     """|exp X| above e^{|X|} beyond rounding, elementwise."""
-    return exp_norm > np.exp(np.minimum(norm, 700.0)) * (1.0 + 1e-9) + 1e-12
+    with np.errstate(over="ignore"):  # an e^{|X|} of inf bounds nothing
+        return exp_norm > np.exp(norm) * (1.0 + 1e-9) + 1e-12
 
 
 def _misses_round_trip(err, norm):
@@ -571,11 +572,12 @@ def _unitary_logs(stack, per):
 def _general_logs(stack, per):
     """Principal logs of slices, ``per`` to an element, and the refusal of
     each slice with 0 or a point of the closed negative real axis in its
-    spectrum, by position.  Every slice of a refused element is left at 0."""
+    spectrum, by position.  Every slice of a refused element is left at 0.
+    0 is in it when |lambda| < max(1, |lambda|_max) / the largest float."""
     w, v = np.linalg.eig(stack)
     size = np.abs(w)
     scale = np.maximum(1.0, size.max(axis=-1, keepdims=True))
-    singular = np.any(size <= DEFAULT_TOL * scale, axis=-1)
+    singular = np.any(size < scale / np.finfo(np.float64).max, axis=-1)
     on_cut = np.any((w.real <= 0) & (np.abs(w.imag) <= DEFAULT_TOL * scale),
                     axis=-1)
     refused = singular | on_cut
@@ -734,9 +736,9 @@ def mat_logs(algebra, n, flats, unitary):
         with np.errstate(over="ignore", invalid="ignore"):
             gram = np.swapaxes(flats.conj(), -1, -2) @ flats
             res = stack_from_flat(algebra, n, gram) - ident.data
-        unit = np.isfinite(res).reshape(count, -1).all(axis=-1)
-        res = np.where(_each(unit, res), res, 0.0)
-        unit &= op_norms(algebra.norm(res)) <= DEFAULT_TOL
+            unit = np.isfinite(res).reshape(count, -1).all(axis=-1)
+            res = np.where(_each(unit, res), res, 0.0)
+            unit &= op_norms(algebra.norm(res)) <= DEFAULT_TOL
     logs, log_verdicts = _principal_logs(
         flats.reshape((count, -1) + flats.shape[-2:]), unit)
     verdicts = [v if v is not None else e

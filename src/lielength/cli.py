@@ -6,10 +6,9 @@ chain and witness experiments, ``en`` elementary-group checks, ``coarse``
 map fitting, and ``suite acceptance`` for the full battery.  Each action
 accepts exactly the options it reads; ``--seed`` only where a generator is
 seeded.  Runs are deterministic for a fixed ``--seed``; result files carry
-no timestamps, so identical configs produce identical bytes.  ``--tol``
-(``el`` and ``rel`` only) is the bracket-order slack.  Exit status: 0 when
-every check held, 1 when a check failed, 2 on unusable input, with one
-``lielength: error:`` line.
+no timestamps, so identical configs produce identical bytes.  Exit
+status: 0 when every check held, 1 when a check failed, 2 on unusable
+input, with one ``lielength: error:`` line.
 """
 
 from __future__ import annotations
@@ -30,13 +29,14 @@ from . import acceptance, algebra, circle, coarse, elementary, explength, schatt
 def _write_result(doc, out, fmt):
     """Write ``doc`` to the file ``out``, or to stdout when it is None.  CSV
     takes ``doc["rows"]`` when the doc has them, and the doc as one row
-    otherwise; a list doc is its own rows."""
+    otherwise; a list doc is its own rows.  JSON holding NaN or inf is
+    not standard JSON: it is refused, with a ValueError, before any write."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=str,
+                      allow_nan=False) if fmt == "json" else None
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w", newline="")) as fh:
-        if fmt == "json":
-            json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-            if out is None:
-                fh.write("\n")
+        if text is not None:
+            fh.write(text + ("\n" if out is None else ""))
             return
         rows = doc.get("rows", [doc]) if isinstance(doc, dict) else doc
         flat = [_flatten(r) for r in rows]
@@ -97,7 +97,7 @@ def _cmd_el(args):
            "norm": algebra.norm_description(g.algebra)}
     if args.action == "estimate":
         doc["bracket"].pop("certificate", None)
-    return doc, bracket.lower <= bracket.upper + args.tol
+    return doc, explength.in_order(bracket.lower, bracket.upper)
 
 
 def _cmd_rel(args):
@@ -108,7 +108,7 @@ def _cmd_rel(args):
     doc = {"command": "rel estimate", **source, "seed": args.seed,
            "rel_upper": value, "el_upper": upper,
            "check": "reduced length below plain length on the shared pool"}
-    return doc, value <= upper + args.tol
+    return doc, explength.in_order(value, upper)
 
 
 def _cmd_trotter(args):
@@ -270,8 +270,8 @@ def _cmd_coarse(args):
     fit = coarse.fit_quasi_isometry(sample)
     moduli = coarse.fit_coarse_moduli(sample)
     doc = {"command": "coarse fit", "input": args.input,
-           "multiplicative": fit.constant, "additive": fit.additive,
-           "refuted": fit.refuted,
+           "multiplicative": fit.constant if fit.constant < math.inf else None,
+           "additive": fit.additive, "refuted": fit.refuted,
            "moduli": {"bins": moduli.bin_edges, "lower": moduli.lower,
                       "upper": moduli.upper, "expansive": moduli.expansive},
            "label": f"sampled at {len(domain.ids)} points"}
@@ -335,8 +335,7 @@ def build_parser():
              ("--input", {"default": None,
                           "help": "JSON group element instead of a named "
                                   "sample"}),
-             ("--no-optimize", {"action": "store_true"}),
-             ("--tol", {"type": _finite_float, "default": 1e-9}), seed)
+             ("--no-optimize", {"action": "store_true"}), seed)
 
     action(commands, "el", _cmd_el,
            ("action", {"choices": ("estimate", "bracket")}), *group,
@@ -377,7 +376,7 @@ def main(argv=None):
         doc, ok = args.fn(args)
         if doc is not None:
             _write_result(doc, args.out, args.format)
-    except (OSError, ValueError, KeyError,
+    except (OSError, ValueError, KeyError, algebra.NumericFailureError,
             explength.NoFactorizationError) as exc:
         print(f"lielength: error: {exc}", file=sys.stderr)
         return 2

@@ -48,13 +48,15 @@ class SampledSpace:
             raise ValueError("origin must be one of the point ids")
         if np.any(np.abs(np.diag(self.dist)) > 1e-12):
             raise ValueError("dist(x, x) must be 0")
-        if np.max(np.abs(self.dist - self.dist.T)) > 1e-9:
+        # the rounding allowed a table: 1e-9 (1 + its largest distance)
+        self._slack = 1e-9 * (1.0 + float(np.max(np.abs(self.dist))))
+        if np.max(np.abs(self.dist - self.dist.T)) > self._slack:
             raise ValueError("distance table must be symmetric")
         self.check_triangle()
 
     def check_triangle(self):
         for row in self.dist:
-            if np.any(self.dist > row[None, :] + row[:, None] + 1e-9):
+            if np.any(self.dist > row[None, :] + row[:, None] + self._slack):
                 raise ValueError("triangle inequality fails on the sample")
         return True
 
@@ -219,7 +221,8 @@ def fit_quasi_isometry(sample):
     K >= 1 (searched over the finite breakpoint set of pairwise ratios)
     whose forced L is minimal, so isometric samples give exactly (1, 0)
     and pure c-scalings give (c, 0).  Rounding is monotone, so the forced
-    L never grows with K: that K is found by bisection.
+    L never grows with K: that K is found by bisection.  A K past the float
+    range (inf) refutes the fit.
     """
     dx, dy = sample.distance_pairs()
     if not dx.size:
@@ -235,8 +238,8 @@ def fit_quasi_isometry(sample):
     k_star = grid[bisect.bisect_left(grid, True, hi=len(grid) - 1,
                                      key=lambda k: forced(k) <= least + 1e-12)]
     trend = _additive_trend(dx, dy, k_star)
-    return QuasiIsometryFit(k_star, forced(k_star), _is_expanding(trend),
-                            trend)
+    return QuasiIsometryFit(k_star, forced(k_star),
+                            k_star == math.inf or _is_expanding(trend), trend)
 
 
 def _additive_trend(dx, dy, k):
@@ -273,7 +276,8 @@ class CoarseModuli:
 
 def fit_coarse_moduli(sample):
     """Monotone envelopes of image distances per domain-distance bin, the
-    bins of width top / 20 for the largest domain distance top (1 if 0).
+    bins of width top / 20, never below the least positive float, for the
+    largest domain distance top (1 if 0).
 
     ``lower`` is the largest non-decreasing minorant of the per-bin minima
     (suffix minima) and ``upper`` the smallest non-decreasing majorant of
@@ -284,7 +288,7 @@ def fit_coarse_moduli(sample):
     if not dx.size:
         return CoarseModuli([], [], [], False)
     top = float(dx.max())
-    bin_width = top / 20.0 if top > 0 else 1.0
+    bin_width = max(top / 20.0, math.ulp(0.0)) if top > 0 else 1.0
     n_bins = max(1, int(math.ceil(top / bin_width)))
     bins = np.minimum(n_bins - 1, (dx / bin_width).astype(int))
     mins, maxs = np.full(n_bins, math.inf), np.full(n_bins, -math.inf)

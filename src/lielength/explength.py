@@ -12,6 +12,7 @@ always tied to the norm of the ambient matrix algebra.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -55,19 +56,24 @@ class FactorizationCertificate:
 
     @classmethod
     def from_factors(cls, factors, target):
-        product = _product_of_exponentials(factors, target)
+        product = GroupElement.identity(target.algebra, target.n)
+        for x in factors:
+            product = product @ mat_exp(x)
         residual = (product.matrix - target.matrix).op_norm()
         zero = MatrixOverAlgebra.zeros(target.algebra, target.n)
         return cls(list(factors), target, residual, _sum_norms(factors),
                    _norm_of_sum([zero] + list(factors)))
 
     def check_invariants(self):
-        if self.residual > 1e-6:
-            raise AssertionError(f"residual {self.residual} above tolerance")
-        if self.sum_of_norms < self.norm_of_sum - 1e-9 * (1 + self.sum_of_norms):
-            raise AssertionError("triangle inequality violated")
+        """Refuse what the search refuses, by ``admissible_residual``; that
+        residual also bounds log |prod exp X_i| >= log(|target| - it)."""
         target_norm = self.target.matrix.op_norm()
-        if target_norm > 0 and self.sum_of_norms < math.log(target_norm) - 1e-6:
+        allowed = admissible_residual(target_norm)
+        if not self.residual <= allowed:
+            raise AssertionError(f"residual {self.residual} above {allowed}")
+        if not in_order(self.norm_of_sum, self.sum_of_norms):
+            raise AssertionError("triangle inequality violated")
+        if self.sum_of_norms < math.log(max(1.0, target_norm - allowed)):
             raise AssertionError("certificate is shorter than log|target|")
 
     def inverse(self):
@@ -96,11 +102,10 @@ class FactorizationCertificate:
         return cls.from_factors(factors, target)
 
 
-def _product_of_exponentials(factors, target):
-    out = GroupElement.identity(target.algebra, target.n)
-    for x in factors:
-        out = out @ mat_exp(x)
-    return out
+def in_order(lower, upper):
+    """The one order check of a bracket, of rel against el, and of a norm
+    of a sum against its sum of norms: up to 1e-9 (1 + upper)."""
+    return lower <= upper + 1e-9 * (1.0 + upper)
 
 
 @dataclass
@@ -112,7 +117,7 @@ class ElBracket:
     certificate: FactorizationCertificate
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-6:
+        if not in_order(self.lower, self.upper):
             raise AssertionError(
                 f"bracket inverted: lower {self.lower} > upper {self.upper}")
 
@@ -134,10 +139,6 @@ def el_lower_bound(g):
     return best
 
 
-def _pointwise_column_norm(flat):
-    return float(np.max(np.sum(np.abs(flat), axis=-2).max(axis=-1)))
-
-
 def el_exact_unitary(u):
     """|log u| with the principal branch: the bi-invariant length of a
     unitary.
@@ -151,7 +152,7 @@ def el_exact_unitary(u):
         raise ValueError("input is not unitary")
     log = mat_log(u)
     if u.algebra.kind == FUNCTIONS:
-        return _pointwise_column_norm(log.to_flat())
+        return float(np.abs(log.to_flat()).sum(axis=-2).max())
     return log.op_norm()
 
 
@@ -166,15 +167,12 @@ def el_exact_positive_diagonal(a):
     norms = mat.entry_norms()
     if norms[0, 1] > 1e-9 or norms[1, 0] > 1e-9:
         raise ValueError("off-diagonal entries must vanish")
-    d = np.asarray(mat.data[0, 0])
-    dinv = np.asarray(mat.data[1, 1])
-    if np.max(np.abs(d * dinv - mat.algebra.unit_value())) > 1e-7:
+    d = np.atleast_1d(mat.data[0, 0])
+    if np.max(np.abs(d * mat.data[1, 1] - mat.algebra.unit_value())) > 1e-7:
         raise ValueError("expected diag(d, d^{-1})")
-    if np.any(np.abs(np.imag(np.atleast_1d(d))) > 1e-9) or np.any(
-            np.real(np.atleast_1d(d)) <= 1e-9):
+    if np.any(np.abs(d.imag) > 1e-9) or np.any(d.real <= 1e-9):
         raise ValueError("d must be positive")
-    logs = np.log(np.real(np.atleast_1d(d)))
-    return float(np.max(np.abs(logs)))
+    return float(np.max(np.abs(np.log(d.real))))
 
 
 @dataclass
@@ -189,6 +187,12 @@ class EstimateBudget:
     iterations: int = 20
     trials: int = 6
     optimize: bool = True
+
+
+def admissible_residual(target_norm):
+    """The one residual rule of a certificate of a target of norm |g|: at
+    most ``EstimateBudget.residual_tol`` (1 + |g|)."""
+    return EstimateBudget.residual_tol * (1.0 + target_norm)
 
 
 def _try_log(matrix, tag="GL"):
@@ -209,8 +213,7 @@ def _rotated_log_certificate(g):
     widest = int(np.argmax(gaps))
     if gaps[widest] < 1e-6:
         raise SpectrumOnCutError("spectrum arguments leave no branch gap")
-    cut_direction = args[widest] + gaps[widest] / 2.0
-    alpha = cut_direction - math.pi
+    alpha = args[widest] + gaps[widest] / 2.0 - math.pi  # mid-gap cut
     rotated = g.matrix.scaled(np.exp(-1j * alpha))
     log = _try_log(rotated)
     phase = MatrixOverAlgebra.identity(g.algebra, g.n).scaled(1j * alpha)
@@ -254,15 +257,11 @@ def _initial_certificates(g, initial_factors):
     ident = MatrixOverAlgebra.identity(g.algebra, g.n)
     k = 2
     while k <= EstimateBudget.max_factors:
+        points = (ident.scaled(1.0 - j / k) + g.matrix.scaled(j / k)
+                  for j in range(k + 1))
         try:
-            factors = []
-            prev = ident
-            for j in range(1, k + 1):
-                t = j / k
-                point = ident.scaled(1.0 - t) + g.matrix.scaled(t)
-                factors.append(_try_log(prev.inverse() @ point))
-                prev = point
-            pool.append(factors)
+            pool.append([_try_log(a.inverse() @ b)
+                         for a, b in itertools.pairwise(points)])
             break
         except (SpectrumOnCutError, NumericFailureError, np.linalg.LinAlgError):
             k *= 2
@@ -391,8 +390,7 @@ def _norm_of_sum(factors):
 
 
 def _search(g, pool, objective, budget, seed):
-    candidates = [(objective(f), f) for f in pool]
-    candidates.sort(key=lambda t: t[0])
+    candidates = sorted(((objective(f), f) for f in pool), key=lambda t: t[0])
     results = list(candidates)
     if budget.optimize:
         for restart in range(budget.restarts):
@@ -403,7 +401,7 @@ def _search(g, pool, objective, budget, seed):
     results.sort(key=lambda t: t[0])
     for val, factors in results:
         cert = FactorizationCertificate.from_factors(factors, g)
-        if cert.residual <= budget.residual_tol * (1 + g.matrix.op_norm()):
+        if cert.residual <= admissible_residual(g.matrix.op_norm()):
             return cert
     raise NoFactorizationError("no certificate met the residual tolerance")
 

@@ -137,6 +137,27 @@ def test_mat_log_identity_and_positive_diagonal():
     assert (log - expected).op_norm() <= 1e-12
 
 
+@pytest.mark.parametrize("diagonal", [
+    [1e5, 1e-5], [1e100, 1e-100], [1e154, 1e-154], [1e308, 1.0]],
+    ids=["1e5", "1e100", "1e154", "1e308-1"])
+@pytest.mark.parametrize("alg", [ll.scalar_real(), ll.scalar_complex()],
+                         ids=["R", "C"])
+def test_mat_log_takes_any_spread_inside_the_float_range(alg, diagonal):
+    """0 is in the spectrum only where |lambda| / max(1, |lambda|_max)
+    leaves the float range: every spread up to 1e308 has its log, and the
+    round trip's exp is bounded by e^{|X|} up to |X| = 709.2."""
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.diag(diagonal)), "GL")
+    log = np.diagonal(ll.mat_log(g).data)
+    assert np.allclose(log, np.log(diagonal), rtol=1e-14, atol=0)
+
+
+def test_mat_log_refuses_a_spread_past_the_float_range():
+    g = ll.GroupElement(ll.MatrixOverAlgebra(
+        ll.scalar_real(), np.diag([1e200, 1e-200])), "GL")
+    with pytest.raises(ll.SpectrumOnCutError, match="singular input"):
+        ll.mat_log(g)
+
+
 def test_mat_log_branch_at_minus_one():
     alg = ll.scalar_complex()
     u = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.array([[-1.0 + 0j]])), "U")

@@ -259,6 +259,38 @@ def test_sampled_space_rejects_triangle_violation():
         coarse.SampledSpace(["a", "b", "c"], dist, "a")
 
 
+def test_sampled_space_takes_valid_tables_at_scale_1e10():
+    """Six planar points at scale 1e10, one the midpoint of two others:
+    the triangle equality there rounds at about 1e-6, inside the table's
+    slack of 1e-9 (1 + its largest distance)."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        xs = rng.uniform(0, 1e10, size=(5, 2))
+        xs = np.vstack([xs, (xs[0] + xs[1]) / 2])
+        coarse.SampledSpace.from_points(
+            list(range(6)), lambda a, b: math.dist(xs[a], xs[b]), 0)
+
+
+def _two_point_map(x, y):
+    space = [coarse.SampledSpace([0, 1], [[0.0, d], [d, 0.0]], 0)
+             for d in (x, y)]
+    return coarse.CoarseMapSample(*space, [(0, 0), (1, 1)])
+
+
+def test_moduli_of_the_least_positive_distance():
+    """top / 20 underflows to 0 at top = 5e-324; the bin width stays the
+    least positive float, so the one pair lands in one bin."""
+    moduli = coarse.fit_coarse_moduli(_two_point_map(5e-324, 1.0))
+    assert (moduli.lower, moduli.upper) == ([1.0], [1.0])
+
+
+def test_a_constant_past_the_float_range_refutes_the_fit():
+    """The ratio 1 / 5e-324 overflows, so K = inf: no finite constant was
+    found, and the fit says so."""
+    fit = coarse.fit_quasi_isometry(_two_point_map(5e-324, 1.0))
+    assert fit.constant == math.inf and fit.refuted
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_sampled_space_rejects_non_finite_distances(bad):
     dist = np.array([[0.0, bad], [bad, 0.0]])
@@ -304,7 +336,7 @@ def _scan(sample):
              for m in range(len(occupied))]
     expansive = bool(lower) and lower[-1] > lower[0] and \
         lower[-1] == max(lower)
-    return ((k, l, trend, coarse._is_expanding(trend)),
+    return ((k, l, trend, k == math.inf or coarse._is_expanding(trend)),
             ([(i + 0.5) * width for i in occupied], lower, upper, expansive))
 
 

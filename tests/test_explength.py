@@ -178,8 +178,11 @@ def test_estimate_outside_identity_component_raises():
 
 
 @pytest.mark.parametrize("alg, diagonal, outside", [
-    # the search overflows on its way through the path steps
-    pytest.param(ll.scalar_complex(), [1e200, 1e-200], False, id="C-huge"),
+    # the principal, rotated and polar logs all need a log of
+    # diag(1e200, 1e-200), whose spread 1e400 leaves the float range, and
+    # the straight path from the identity crosses 0
+    pytest.param(ll.scalar_complex(), [-1e200, -1e-200], False, id="C-huge"),
+    pytest.param(ll.scalar_real(), [-1e200, -1e-200], False, id="R-huge"),
     pytest.param(ll.scalar_real(), [-1.0, -1.0], False, id="R-minus-identity"),
     pytest.param(ll.scalar_real(), [-1.0, 1.0], True, id="R-det-negative"),
 ])
@@ -193,6 +196,63 @@ def test_no_factorization_message_is_truthful(alg, diagonal, outside):
     assert ("identity component" in message) == outside
     assert ("budget" in message and "floating-point range" in message) \
         == (not outside)
+
+
+@pytest.mark.parametrize("alg, s", [
+    (ll.scalar_complex(), 1e200), (ll.scalar_real(), 1e307),
+    (ll.scalar_complex(), 1e307)], ids=["C-1e200", "R-1e307", "C-1e307"])
+def test_a_spread_past_the_float_range_gets_a_path_bracket(alg, s):
+    """diag(s, 1/s) has no log (its spread s^2 leaves the float range), but
+    each step of the two-step path from the identity has one, of norm
+    log(s / 2): at most 706.2, whose exp is inside the float range.  The
+    search starts from that path and may shorten it."""
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.diag([s, 1.0 / s])),
+                        "GL")
+    bracket = ll.el_estimate(g, seed=0)
+    assert bracket.lower == math.log(s)
+    assert len(bracket.certificate.factors) == 2
+    assert bracket.upper <= 2 * math.log(s / 2) * (1 + 1e-12)
+    bracket.certificate.check_invariants()
+
+
+@pytest.mark.parametrize("alg", [ll.scalar_real(), ll.scalar_complex()],
+                         ids=["R", "C"])
+def test_a_unit_determinant_triangle_gets_its_one_factor(alg):
+    """[[1e6, 1], [0, 1e-6]] has spread 1e12 and a well-conditioned
+    eigenbasis: its principal log is one factor, near log 1e6."""
+    g = ll.GroupElement(ll.MatrixOverAlgebra(
+        alg, np.array([[1e6, 1.0], [0.0, 1e-6]])), "GL")
+    bracket = ll.el_estimate(g, seed=0)
+    assert len(bracket.certificate.factors) == 1
+    assert bracket.upper - bracket.lower <= 1e-5 * bracket.upper
+    bracket.certificate.check_invariants()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.sampled_from([ll.scalar_real(), ll.scalar_complex()]),
+       st.floats(0.0, 100.0))
+def test_a_positive_diagonal_is_one_factor_at_every_scale(alg, exponent):
+    """diag(s, 1/s), s = 10^exponent up to 1e100: the single log is the
+    certificate, and the bracket closes to the order slack 1e-9 (1 +
+    upper).  Near s = 1 the rounding of 1/s, about 1e-16, is all the gap,
+    so a slack of 1e-9 upper alone would fail there."""
+    s = 10.0 ** exponent
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.diag([s, 1.0 / s])),
+                        "GL")
+    bracket = ll.el_estimate(g, seed=0)
+    assert len(bracket.certificate.factors) == 1
+    assert explength.in_order(bracket.upper, bracket.lower)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.sampled_from([2, 3]), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_scaled_elements_get_certificates_their_check_accepts(n, k, seed):
+    """GL2/GL3 elements scaled by 10^k: the search and ``check_invariants``
+    apply one residual rule, so every returned certificate passes."""
+    g = acceptance.random_gl(n, np.random.default_rng(seed))
+    g = ll.GroupElement(g.matrix.scaled(10.0 ** k), "GL")
+    quick = ll.EstimateBudget(optimize=False)
+    ll.el_estimate(g, budget=quick, seed=seed).certificate.check_invariants()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
