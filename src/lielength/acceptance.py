@@ -229,7 +229,7 @@ def criterion_6_trotter():
         for n in ns:
             product_error, _ = explength.trotter_check(x, y, n)
             errors[n] = product_error
-            if product_error * n > 4.0:
+            if not product_error * n < explength.TROTTER_BOUND:
                 bound_misses += 1
         for n in (64, 128, 256):
             ratio = errors[n] / errors[2 * n]
@@ -351,7 +351,7 @@ def _project_traceless(x):
     alg = x.algebra
     value = elementary.trace_of_matrix(x)
     if alg.kind == algebra.FUNCTIONS:
-        corner = np.asarray(value)[np.asarray(alg.components())]
+        corner = np.asarray(value)[alg.graph.labels]
     elif alg.kind == algebra.MATRIX:
         corner = (value[0] / alg.k) * np.eye(alg.k)
     else:

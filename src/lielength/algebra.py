@@ -20,7 +20,9 @@ brackets every quantity derived from it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -47,16 +49,22 @@ class NumericFailureError(RuntimeError):
 
 def graph_edges(vertices, edges):
     """The edges of a graph on ``vertices`` vertices as a tuple of int pairs.
-    ValueError on fewer than one vertex or a non-integer or out-of-range
-    endpoint: a float endpoint is never truncated to a vertex."""
+    ValueError on fewer than one vertex, on edges that are not a list of
+    pairs, and on a non-integer or out-of-range endpoint or a self-loop: a
+    float endpoint is never truncated to a vertex."""
     if not (isinstance(vertices, (int, np.integer)) and vertices >= 1):
         raise ValueError(f"a graph needs at least one vertex, not {vertices!r}")
-    edges = tuple(edges)
+    if not (isinstance(edges, (list, tuple)) and all(
+            isinstance(e, (list, tuple)) and len(e) == 2 for e in edges)):
+        raise ValueError(f"edges must be a list of [u, v] pairs, not "
+                         f"{edges!r:.40}")
     for u, v in edges:
         if not all(isinstance(x, (int, np.integer)) for x in (u, v)):
             raise ValueError(f"edge ({u},{v}) has a non-integer endpoint")
         if not (0 <= u < vertices and 0 <= v < vertices):
             raise ValueError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise ValueError(f"edge ({u},{v}) is a self-loop")
     return tuple((int(u), int(v)) for u, v in edges)
 
 
@@ -101,6 +109,11 @@ def spanning_forest(n_vertices, edges):
 def connected_components(n_vertices, edges):
     """Component label of each vertex, as a list; numbered by smallest vertex."""
     return spanning_forest(n_vertices, edges)[0].tolist()
+
+
+# The index arrays of a sampled space: edge tails and heads, component labels,
+# and the tree and non-tree (tail, head) rows of ``spanning_forest``.
+SpaceGraph = namedtuple("SpaceGraph", "tails heads labels tree nontree")
 
 
 @dataclass(frozen=True)
@@ -170,11 +183,18 @@ class BanachAlgebra:
             return np.asarray(a) @ np.asarray(b)
         return np.asarray(a) * np.asarray(b)
 
-    def components(self):
-        """Connected-component labels (function algebras only)."""
+    @cached_property
+    def graph(self):
+        """The read-only SpaceGraph of a function algebra, from one BFS."""
         if self.kind != FUNCTIONS:
-            raise ValueError("components are defined for function algebras")
-        return connected_components(self.vertices, self.edges)
+            raise ValueError("a graph is defined for function algebras only")
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        arrays = (*ends.T, *spanning_forest(self.vertices, ends))
+        return SpaceGraph(*map(read_only, arrays))
+
+    @property
+    def components(self):
+        return self.graph.labels.tolist()
 
     def random_value(self, rng):
         return random_stack(self, 1, 1, rng)[0, 0, 0]
@@ -553,7 +573,14 @@ def _eig_logs(stack, w, v):
     logs[by_eig] = ((v_eig * np.log(w[by_eig])[:, None, :])
                     @ np.linalg.inv(v_eig))
     for i in np.flatnonzero(~by_eig):  # ill-conditioned or defective
-        logs[i] = scipy.linalg.logm(stack[i])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                logs[i] = scipy.linalg.logm(stack[i])
+        except Exception:
+            # logm overflowed inside: scipy then raises a ValueError or a bare
+            # Exception ("U is not upper triangular").  The slice is refused
+            # as a log that did not converge.
+            logs[i] = np.nan
     return logs
 
 
@@ -769,10 +796,25 @@ def _value_to_json(value):
     return v.tolist()
 
 
+def finite_floats(values, what):
+    """``values`` as a float array.  ValueError naming ``what`` unless they
+    are a (non-ragged) array of finite real numbers: a string, bool, null or
+    object among them is a wrong type, never read as a number."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be an array of numbers, not "
+                         f"{values!r:.40}")
+    array = array.astype(float, copy=False)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{what} must be finite")
+    return array
+
+
 def _value_from_json(obj, algebra):
-    arr = np.asarray(obj, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("values must be finite")
+    arr = finite_floats(obj, "values")
     if algebra.dtype == np.complex128:
         if arr.shape[-1:] != (2,):
             raise ValueError("complex values must be [real, imag] pairs")

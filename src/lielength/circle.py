@@ -15,13 +15,17 @@ constants (one per connected component) that parameterize all lifts.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .algebra import graph_edges, json_fields, read_only, spanning_forest
+from .algebra import (
+    BanachAlgebra,
+    finite_floats,
+    function_algebra,
+    json_fields,
+    read_only,
+)
 
 SAMPLING_GUARD = 1e-12
 WINDING_INT_TOL = 1e-6
@@ -37,34 +41,9 @@ class WindingError(ValueError):
     the identity component, so no continuous real lift exists."""
 
 
-# The phase-independent index arrays of a space: edge tails and heads, component
-# labels, and the tree and non-tree (tail, head) rows of ``spanning_forest``.
-SpaceGraph = namedtuple("SpaceGraph", "tails heads labels tree nontree")
-
-
-@dataclass(frozen=True)
-class DiscretizedSpace:
-    """Vertex/edge discretization of a compact space.  Components are the
-    connected components of the graph."""
-
-    vertices: int
-    edges: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", graph_edges(self.vertices, self.edges))
-        if any(u == v for u, v in self.edges):
-            raise ValueError("self-loops are not allowed")
-
-    @cached_property
-    def graph(self):
-        """The SpaceGraph, read-only, built once per space by one traversal."""
-        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        arrays = (*ends.T, *spanning_forest(self.vertices, ends))
-        return SpaceGraph(*map(read_only, arrays))
-
-    @property
-    def components(self):
-        return self.graph.labels.tolist()
+# A discretized compact space X is the function algebra C(X) on its graph:
+# one value, whose cached ``graph`` every circle function on it reads.
+DiscretizedSpace = function_algebra
 
 
 def circular_distance(s, t):
@@ -83,15 +62,13 @@ def nearest_increment(s, t):
 class CircleFunction:
     """Phases in [0, 1) on the vertices of a discretized space."""
 
-    space: DiscretizedSpace
+    space: BanachAlgebra
     phase: np.ndarray
 
     def __post_init__(self):
-        phase = np.asarray(self.phase, dtype=float)
+        phase = finite_floats(self.phase, "phases")
         if phase.shape != (self.space.vertices,):
             raise ValueError("one phase per vertex required")
-        if not np.all(np.isfinite(phase)):
-            raise ValueError("phases must be finite")
         phase = read_only(phase % 1.0)
         object.__setattr__(self, "phase", phase)
         tails, heads = self.space.graph.tails, self.space.graph.heads
@@ -120,7 +97,7 @@ class CircleFunction:
     def from_json(cls, doc):
         vertices, phase = json_fields(doc, "a circle function", "vertices",
                                       "phase")
-        return cls(DiscretizedSpace(vertices, doc.get("edges", [])), phase)
+        return cls(function_algebra(vertices, doc.get("edges", [])), phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +105,6 @@ class RealLift:
     """A real-valued lift of a circle function: value mod 1 equals the phase
     at every vertex and edge increments are the nearest representatives."""
 
-    space: DiscretizedSpace
     value: np.ndarray
     base: CircleFunction
 
@@ -138,11 +114,12 @@ class RealLift:
         wrap = np.abs((value - self.base.phase + 0.5) % 1.0 - 0.5)
         if np.max(wrap) > 1e-12:
             raise ValueError("lift does not reduce to the phases mod 1")
-        tails, heads = self.space.graph.tails, self.space.graph.heads
+        space = self.base.space
+        tails, heads = space.graph.tails, space.graph.heads
         inc = nearest_increment(self.base.phase[tails], self.base.phase[heads])
         bad = np.abs((value[heads] - value[tails]) - inc) > 1e-9
         if bad.any():
-            u, v = self.space.edges[bad.argmax()]
+            u, v = space.edges[bad.argmax()]
             raise ValueError(f"edge ({u},{v}) increment is not the "
                              "nearest representative")
 
@@ -193,7 +170,7 @@ def unwrap(f):
     if bad:
         raise WindingError(f"nonzero cycle windings {bad}: "
                            "not in the identity component")
-    return RealLift(f.space, lift, f)
+    return RealLift(lift, f)
 
 
 def quotient_norm(f):

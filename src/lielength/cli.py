@@ -125,9 +125,10 @@ def _cmd_trotter(args):
         rows.append({"n": n, "product_error": prod_err,
                      "commutator_error": comm_err,
                      "product_error_times_n": prod_err * n})
-        ok = ok and prod_err * n < args.bound
+        ok = ok and prod_err * n < explength.TROTTER_BOUND
     doc = {"command": "trotter", "seed": args.seed, "dim": args.dim,
-           "check": f"n * product defect stays below {args.bound}",
+           "check": f"n * product defect stays below "
+                    f"{explength.TROTTER_BOUND}",
            "rows": rows}
     return doc, ok
 
@@ -345,8 +346,7 @@ def build_parser():
     action(commands, "trotter", _cmd_trotter,
            ("--dim", {"type": int, "default": 2}),
            ("--subdivisions", {"type": int, "nargs": "+",
-                               "default": [16, 32, 64, 128]}),
-           ("--bound", {"type": _finite_float, "default": 4.0}), seed,
+                               "default": [16, 32, 64, 128]}), seed,
            help="product-formula scaling defects")
     action(actions("cel", "circle-function length"), "compute", _cmd_cel,
            ("--input", {"required": True}))

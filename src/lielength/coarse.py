@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import finite_floats
+
 
 @dataclass
 class SampledSpace:
@@ -39,11 +41,9 @@ class SampledSpace:
             raise ValueError(f"ids must be distinct scalars, not "
                              f"{self.ids!r:.40}")
         n = len(self.ids)
-        self.dist = np.asarray(self.dist, dtype=float)
+        self.dist = finite_floats(self.dist, "distances")
         if self.dist.shape != (n, n):
             raise ValueError("distance table shape mismatch")
-        if not np.all(np.isfinite(self.dist)):
-            raise ValueError("distances must be finite")
         if self.origin not in self.ids:
             raise ValueError("origin must be one of the point ids")
         if np.any(np.abs(np.diag(self.dist)) > 1e-12):

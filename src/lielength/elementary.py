@@ -40,6 +40,10 @@ from .explength import ElBracket, FactorizationCertificate
 
 GENERATOR_KINDS = ("E", "e", "f", "g")
 EMPTY_WORD = "the word is empty; give at least one generator"
+# The most numbers the n x n matrix of a generator may hold: n^2 times the
+# numbers of one payload.  A word states its size n, or its slots do, without
+# data behind it, so the size is refused here, before any matrix is built.
+MAX_WORD_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,14 @@ class ElementaryGenerator:
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"a generator's {name} must be an integer, "
                                  f"not {value!r}")
+        if self.n < 1:
+            raise ValueError(f"a generator's n must be >= 1, not {self.n}")
+        numbers = int(self.n) ** 2 * math.prod(
+            self.payload.algebra.value_shape())
+        if numbers > MAX_WORD_ENTRIES:
+            raise ValueError(
+                f"a word of size n = {self.n} holds {numbers} numbers per "
+                f"matrix, more than MAX_WORD_ENTRIES = {MAX_WORD_ENTRIES}")
         if self.kind in ("E", "e", "f"):
             if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
                 raise ValueError("slot out of range")
@@ -152,7 +164,10 @@ def elementary_product(word):
             raise ValueError("group words are built from E generators only")
         if gen.n != n or gen.payload.algebra != algebra:
             raise ValueError("inconsistent word")
-        out = out @ gen.matrix()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = out @ gen.matrix()
+    if not np.all(np.isfinite(out.data)):
+        raise ValueError("the word's product leaves the floating-point range")
     return GroupElement(out, "En", validate=False)
 
 
@@ -203,7 +218,7 @@ def default_trace(algebra):
         return lambda v: np.atleast_1d(np.asarray(v, dtype=complex))
     if algebra.kind == MATRIX:
         return lambda v: np.atleast_1d(np.trace(np.asarray(v, dtype=complex)))
-    comps = np.asarray(algebra.components())
+    comps = algebra.graph.labels
     n_comp = int(comps.max()) + 1
 
     def mean_per_component(v):

@@ -78,8 +78,8 @@ def oracle_quotient_norm(f, offset_range=5):
     """Exhaustive minimization of the lift sup norm over integer offset
     vectors in [-offset_range, offset_range]^components."""
     lift = unwrap(f).value
-    comps = np.asarray(f.space.components)
-    n_comp = int(comps.max()) + 1 if comps.size else 0
+    comps = f.space.graph.labels
+    n_comp = int(comps.max()) + 1
     if n_comp > 6:
         raise OracleBudgetError("oracle limited to at most 6 components")
     offsets = np.arange(-offset_range, offset_range + 1, dtype=float)

@@ -341,9 +341,30 @@ def test_value_equality_is_identity_or_value_and_never_raises():
                 ll.DiscretizedSpace(2, [(0, 1)])}) == 4
 
 
+@pytest.mark.parametrize("bad", [
+    {}, "x", ["0.1", "0.2"], [True, False], [None, 0.0], [0.0, {}],
+    [[0.0], [1.0, 2.0]], [10**400, 0.0]],
+    ids=["object", "string", "numeric-strings", "bools", "null",
+         "object-entry", "ragged", "huge-int"])
+def test_one_reader_refuses_arrays_that_are_not_numbers(bad):
+    """JSON values, circle phases and coarse distances are read by one
+    reader, which names the field it refuses."""
+    readers = {
+        "values": lambda v: algebra._value_from_json(v, ll.scalar_real()),
+        "phases": lambda v: ll.CircleFunction(
+            ll.DiscretizedSpace(2, [(0, 1)]), v),
+        "distances": lambda v: ll.SampledSpace([0, 1], v, 0)}
+    for what, read in readers.items():
+        with pytest.raises(ValueError,
+                           match=f"^{what} must be an array of numbers"):
+            read(bad)
+        with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+            read([0.0, math.nan])
+
+
 def test_function_algebra_components():
     alg = ll.function_algebra(5, [(0, 1), (3, 4)])
-    assert alg.components() == [0, 0, 1, 2, 2]
+    assert alg.components == [0, 0, 1, 2, 2]
 
 
 @pytest.mark.parametrize("vertices, edges", [

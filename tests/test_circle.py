@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lielength as ll
-from lielength import algebra, circle, oracles
+from lielength import acceptance, algebra, circle, elementary, oracles
 
 
 def path_graph(n):
@@ -190,7 +190,7 @@ def test_real_lift_rejects_inconsistent_values():
     space = path_graph(3)
     f = ll.CircleFunction(space, [0.0, 0.3, 0.6])
     with pytest.raises(ValueError):
-        ll.RealLift(space, np.array([0.0, 0.8, 0.6]), f)
+        ll.RealLift(np.array([0.0, 0.8, 0.6]), f)
 
 
 # -- graph structure, built once per space ------------------------------------
@@ -212,12 +212,13 @@ def test_malformed_graph_rejected(vertices, edges, match):
 
 def test_graph_built_once_per_space(monkeypatch):
     calls = []
+    forest = algebra.spanning_forest
 
     def counting(*args):
         calls.append(args)
-        return algebra.spanning_forest(*args)
+        return forest(*args)
 
-    monkeypatch.setattr(circle, "spanning_forest", counting)
+    monkeypatch.setattr(algebra, "spanning_forest", counting)
     space = cycle_graph(5)
     for phase in (np.zeros(5), np.full(5, 0.3)):
         ll.cel(ll.CircleFunction(space, phase))
@@ -228,6 +229,59 @@ def test_graph_built_once_per_space(monkeypatch):
     with pytest.raises(ValueError):
         space.graph.labels[0] = 7
     assert space == cycle_graph(5) and hash(space) == hash(cycle_graph(5))
+
+
+def test_one_traversal_serves_every_reader_of_a_space(monkeypatch):
+    """A discretized space X is the function algebra C(X): circle functions
+    on it, cel, the trace of C(X), the factorization invariant and the
+    traceless decomposition all read its one graph."""
+    calls = []
+    forest = algebra.spanning_forest
+
+    def counting(*args):
+        calls.append(args)
+        return forest(*args)
+
+    monkeypatch.setattr(algebra, "spanning_forest", counting)
+    edges = [(0, 1), (2, 3)]
+    space = ll.DiscretizedSpace(4, edges)
+    assert space == ll.function_algebra(4, edges)
+    assert type(space) is ll.BanachAlgebra
+    f = ll.CircleFunction(space, [0.1, 0.2, 0.7, 0.9])
+    assert ll.cel(f) == pytest.approx(2 * math.pi * 0.3, abs=1e-12)
+    assert ll.unwrap(f).base.space is space
+    trace = elementary.default_trace(space)(np.array([1.0, 3.0, 2.0, 4.0]))
+    assert trace.tolist() == [2.0, 3.0]
+    x = ll.MatrixOverAlgebra.random(space, 2, np.random.default_rng(0),
+                                    scale=0.3)
+    cert = ll.FactorizationCertificate.from_factors([x], ll.mat_exp(x))
+    elementary.hs_determinant(cert)
+    decomp = ll.traceless_decompose(acceptance._project_traceless(x))
+    assert decomp.algebra is space
+    assert len(calls) == 1 and space.components == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([(1, 1)], "self-loop"),
+    ([(0, 1), (2, 2)], "self-loop"),
+    (None, "list of"),
+    (True, "list of"),
+    (3, "list of"),
+    ("01", "list of"),
+    ([0, 1], "list of"),
+    ([[0]], "list of"),
+    ([(0, 1, 2)], "list of"),
+], ids=["loop", "second-loop", "null", "bool", "number", "string", "flat",
+        "singleton", "triple"])
+def test_spaces_and_algebras_share_one_graph_rule(edges, match):
+    with pytest.raises(ValueError, match=match):
+        ll.function_algebra(3, edges)
+    with pytest.raises(ValueError, match=match):
+        algebra.algebra_from_json({"kind": algebra.FUNCTIONS, "vertices": 3,
+                                   "edges": edges})
+    with pytest.raises(ValueError, match=match):
+        ll.CircleFunction.from_json({"vertices": 3, "edges": edges,
+                                     "phase": [0.0] * 3})
 
 
 @pytest.mark.parametrize("flip", [False, True])

@@ -1,17 +1,23 @@
 """End-to-end runs of the experiment CLI: artifacts, determinism, exit codes."""
 
 import argparse
+import contextlib
+import copy
 import gc
+import io
 import itertools
 import json
 import math
 import re
 import shlex
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lielength as ll
 from lielength import cli
@@ -400,7 +406,7 @@ def test_tol_is_refused_by_el_and_rel(capsys):
     (["schatten", "sandwich", "--p", "nan", "--samples", "2"],
      "--p: 'nan' is not a finite"),
     (["schatten", "chain", "--p", "inf"], "--p: 'inf' is not a finite"),
-    (["trotter", "--bound", "nan"], "--bound: 'nan' is not a finite"),
+    (["trotter", "--bound", "nan"], "unrecognized arguments: --bound nan"),
 ], ids=["step-0", "step-negative", "step-nan", "dim-0", "sandwich-p-nan",
         "chain-p-inf", "trotter-bound-nan"])
 def test_bad_numbers_exit_2_naming_the_constraint(capsys, argv, message):
@@ -565,6 +571,122 @@ def test_unread_options_and_unusable_inputs_exit_2(tmp_path, capsys, argv,
         last_line = f"{prog}: error: unrecognized arguments: {last_line}"
     assert lines[-1] == last_line
     assert len(lines) == 1 or lines[0].startswith(f"usage: {prog} ")
+
+
+@pytest.mark.parametrize("word", [
+    {"algebra": {"kind": "scalar-complex"}, "n": 10**6,
+     "word": [{"kind": "E", "i": 1, "j": 2, "a": [1, 0]}]},
+    [{"kind": "E", "i": 10**6, "j": 1, "a": [1, 0]}],
+    {"algebra": {"kind": "matrix", "k": 2}, "n": 501,
+     "word": [{"kind": "E", "i": 1, "j": 2, "a": [[[1, 0], [0, 0]]] * 2}]},
+], ids=["algebra-word-n", "bare-word-slot", "matrix-entries"])
+def test_a_word_past_the_size_cap_exits_2_before_any_matrix(tmp_path, capsys,
+                                                            word):
+    """A word's n, or a bare word's largest slot, is a size no data backs:
+    n^2 times the numbers of a payload is capped by MAX_WORD_ENTRIES."""
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(word))
+    assert run(["en", "hsdet", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "MAX_WORD_ENTRIES = 1000000" in captured.err
+
+
+def _c(x):
+    return [x, 0.0]
+
+
+# One valid --input document of each kind, with the action that reads it.
+_CENSUS_DOCS = {
+    "gl2-real": (["el", "estimate", "--no-optimize"], {
+        "algebra": {"kind": "scalar-real"}, "n": 2,
+        "entries": [[2.0, 1.0], [0.5, 1.5]], "group_tag": "GL"}),
+    "functions": (["el", "estimate", "--no-optimize"], {
+        "algebra": {"kind": "functions-on-graph", "vertices": 2,
+                    "edges": [[0, 1]]}, "n": 2,
+        "entries": [[[_c(1), _c(2)], [_c(0.5), _c(0)]],
+                    [[_c(0), _c(0)], [_c(1), _c(0.5)]]],
+        "group_tag": "GL"}),
+    "circle": (["cel", "compute"], {
+        "vertices": 3, "edges": [[0, 1], [1, 2]], "phase": [0.0, 0.2, 0.4]}),
+    "bare-word": (["en", "hsdet"], [
+        {"kind": "E", "i": 1, "j": 2, "a": [2.0, 0.5]},
+        {"kind": "E", "i": 2, "j": 1, "a": [-1.0, 0.0]}]),
+    "algebra-word": (["en", "hsdet"], {
+        "algebra": {"kind": "matrix", "k": 2}, "n": 3,
+        "word": [{"kind": "E", "i": 1, "j": 3,
+                  "a": [[_c(1), _c(0)], [_c(0), _c(1)]]},
+                 {"kind": "E", "i": 3, "j": 2,
+                  "a": [[_c(0), _c(2)], [_c(0), _c(0)]]}]}),
+    "traceless": (["en", "decompose"], {
+        "algebra": {"kind": "scalar-complex"}, "n": 2,
+        "entries": [[_c(1), _c(2)], [_c(3), _c(-1)]]}),
+    "coarse": (["coarse"], {
+        "domain": {"ids": [0, 1, 2], "origin": 0,
+                   "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "codomain": {"ids": [0, 1, 2], "origin": 0,
+                     "dist": [[0, 3, 6], [3, 0, 3], [6, 3, 0]]},
+        "pairs": [[0, 0], [1, 1], [2, 2]]}),
+}
+_CENSUS_VALUES = ("x", None, True, 1e308, -1, 0, 2.5, [], {}, [[1]],
+                  {"a": 1}, 10**6, math.nan)
+
+
+def _nodes(doc, path=()):
+    """The key path of every node of a JSON document, the root first."""
+    yield path
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_CENSUS_NODES = [(name, path) for name, (_, doc) in _CENSUS_DOCS.items()
+                 for path in _nodes(doc)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.sampled_from(_CENSUS_NODES), st.sampled_from(_CENSUS_VALUES))
+@example(("algebra-word", ("n",)), 10**6)
+@example(("bare-word", (0, "i")), 10**6)
+@example(("functions", ("algebra", "edges")), None)
+@example(("coarse", ("domain", "dist")), {})
+def test_every_mutated_input_ends_in_an_exit_status(node, value):
+    """Each node of a valid --input document replaced by one wrong value:
+    the run exits 0, 1 or 2, no exception escapes ``main``, an exit 2
+    prints one error line, and a written result is standard JSON."""
+    name, path = node
+    argv, doc = _CENSUS_DOCS[name]
+
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = Path(tmp) / "input.json", Path(tmp) / "out.json"
+        source.write_text(json.dumps(_replaced(doc, path, value)))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(stderr)):
+            status = run(argv + ["--input", str(source), "--out", str(out)])
+        if status == 2:
+            assert stderr.getvalue().startswith("lielength: error: ")
+            assert stderr.getvalue().count("\n") == 1
+            assert not out.exists()
+        else:
+            assert status in (0, 1) and stderr.getvalue() == ""
+            json.loads(out.read_text(), parse_constant=refuse)
 
 
 _README = Path(__file__).resolve().parent.parent / "README.md"

@@ -85,6 +85,56 @@ def test_el_exact_positive_diagonal_rejects_nonpositive():
         ll.el_exact_positive_diagonal(g)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.floats(-150.0, 150.0), st.booleans(),
+       st.sampled_from(["C", "R", "functions"]))
+def test_el_exact_positive_diagonal_is_judged_at_scale(exponent, flip, kind):
+    """diag(d, 1/d) for d log-uniform in [1e-150, 1e150], d on either side
+    of the diagonal, has length |log d|; the same element with an
+    off-diagonal entry at 1e-6 of its scale, or with -d, is refused."""
+    d = 10.0 ** exponent
+    alg = {"C": ll.scalar_complex(), "R": ll.scalar_real(),
+           "functions": ll.function_algebra(2, [(0, 1)])}[kind]
+    unit = alg.unit_value()
+    values = [d * unit, unit / d]
+    if flip:
+        values.reverse()
+
+    def element(data):
+        return ll.GroupElement(ll.MatrixOverAlgebra(alg, data),
+                               validate=False)
+
+    diag = ll.MatrixOverAlgebra.diagonal(alg, values).data
+    assert ll.el_exact_positive_diagonal(element(diag)) == pytest.approx(
+        abs(math.log(d)), rel=1e-12, abs=1e-15)
+    scale = max(d, 1 / d)
+    off = ll.MatrixOverAlgebra.single_entry(alg, 2, 0, 1, 1e-6 * scale * unit)
+    with pytest.raises(ValueError, match="off-diagonal"):
+        ll.el_exact_positive_diagonal(element(diag + off.data))
+    with pytest.raises(ValueError, match="positive"):
+        ll.el_exact_positive_diagonal(element(-diag))
+
+
+@pytest.mark.parametrize("alg", [ll.scalar_real(), ll.scalar_complex()],
+                         ids=["R", "C"])
+def test_a_logm_overflow_is_a_refused_log(alg, logm_inputs):
+    """On E12(m) = [[1, m], [0, 1]] at m >= 1e307 the search reaches scipy's
+    logm fallback, whose error estimate overflows.  That slice is refused
+    as a log that did not converge: at 1e307 the principal log still
+    certifies the upper bound m, and at 1e308 no factorization fits in the
+    float range."""
+    def unipotent(m):
+        mat = ll.MatrixOverAlgebra(alg, np.array([[1.0, m], [0.0, 1.0]]))
+        return ll.GroupElement(mat, validate=False)
+
+    bracket = ll.el_estimate(unipotent(1e307), seed=0)
+    assert logm_inputs
+    assert bracket.upper == pytest.approx(1e307, rel=1e-12)
+    assert bracket.lower == pytest.approx(math.log(1e307), rel=1e-12)
+    with pytest.raises(ll.NoFactorizationError, match="floating-point range"):
+        ll.el_estimate(unipotent(1e308), seed=0)
+
+
 def test_el_lower_bound_fixtures():
     alg = ll.scalar_complex()
     ident = ll.GroupElement(ll.MatrixOverAlgebra.identity(alg, 2), "GL")
