@@ -47,19 +47,25 @@ class NumericFailureError(RuntimeError):
     tolerance (non-convergence or ill conditioning)."""
 
 
+def is_integer(value):
+    """An int or a numpy integer, but not a bool: a JSON true or false is
+    never read as 1 or 0."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def graph_edges(vertices, edges):
     """The edges of a graph on ``vertices`` vertices as a tuple of int pairs.
     ValueError on fewer than one vertex, on edges that are not a list of
     pairs, and on a non-integer or out-of-range endpoint or a self-loop: a
     float endpoint is never truncated to a vertex."""
-    if not (isinstance(vertices, (int, np.integer)) and vertices >= 1):
+    if not (is_integer(vertices) and vertices >= 1):
         raise ValueError(f"a graph needs at least one vertex, not {vertices!r}")
     if not (isinstance(edges, (list, tuple)) and all(
             isinstance(e, (list, tuple)) and len(e) == 2 for e in edges)):
         raise ValueError(f"edges must be a list of [u, v] pairs, not "
                          f"{edges!r:.40}")
     for u, v in edges:
-        if not all(isinstance(x, (int, np.integer)) for x in (u, v)):
+        if not (is_integer(u) and is_integer(v)):
             raise ValueError(f"edge ({u},{v}) has a non-integer endpoint")
         if not (0 <= u < vertices and 0 <= v < vertices):
             raise ValueError(f"edge ({u},{v}) out of range")
@@ -134,7 +140,7 @@ class BanachAlgebra:
         if self.kind not in (SCALAR_COMPLEX, SCALAR_REAL, MATRIX, FUNCTIONS):
             raise ValueError(f"unknown algebra kind {self.kind!r}")
         if self.kind == MATRIX and not (
-                isinstance(self.k, (int, np.integer)) and self.k >= 1):
+                is_integer(self.k) and self.k >= 1):
             raise ValueError(f"matrix algebra needs an integer k >= 1, not "
                              f"{self.k!r}")
         if self.kind == FUNCTIONS:

@@ -33,6 +33,7 @@ from .algebra import (
     MatrixOverAlgebra,
     _value_from_json,
     algebra_from_json,
+    is_integer,
     json_fields,
     scalar_complex,
 )
@@ -62,7 +63,7 @@ class ElementaryGenerator:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         for name in ("n", "i", "j"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise ValueError(f"a generator's {name} must be an integer, "
                                  f"not {value!r}")
         if self.n < 1:
@@ -122,7 +123,7 @@ def word_from_json(doc):
         json_fields(e, "a generator", *keys)
     if bare:
         # a slot that is not an integer is refused by its generator
-        slots = [e[k] for e in entries for k in "ij" if isinstance(e[k], int)]
+        slots = [e[k] for e in entries for k in "ij" if is_integer(e[k])]
         alg, n = scalar_complex(), max(slots, default=0)
     else:
         alg, n = algebra_from_json(doc["algebra"]), doc["n"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -180,9 +180,10 @@ def el_exact_positive_diagonal(a):
     return float(np.max(np.abs(np.log(d.real))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimateBudget:
-    """Deterministic caps for the factorization search."""
+    """Deterministic caps for the factorization search; frozen, so that a
+    budget keys the el certificates kept for an element."""
 
     max_factors: ClassVar[int] = 16
     init_step: ClassVar[float] = 0.25
@@ -411,14 +412,56 @@ def _search(g, pool, objective, budget, seed):
     raise NoFactorizationError("no certificate met the residual tolerance")
 
 
+# The work kept for the last element asked without initial factors: (key,
+# pool, el certificates by (budget, seed)).  One entry, replaced by one
+# assignment, so memory stays bounded and each reader works on its own
+# reference: two threads on two elements only miss.
+_last_element = None
+
+
+def _element_work(g, initial_factors):
+    """The pool of g and its el certificates by (budget, seed).  Without
+    initial factors both are kept for the last element asked, and reused
+    when g has its value: the key is the algebra, n, the group tag, the
+    dtype and the entry bytes, so writing through the caller's array is a
+    miss.  An element whose pool raises ``NoFactorizationError`` is not
+    kept, so it raises on every call."""
+    global _last_element
+    if initial_factors is not None:
+        return _initial_certificates(g, initial_factors), {}
+    data = g.matrix.data
+    key = (g.algebra, g.n, g.group_tag, data.dtype.str, data.tobytes())
+    last = _last_element
+    if last is not None and last[0] == key:
+        return last[1], last[2]
+    pool, certificates = _initial_certificates(g, None), {}
+    _last_element = (key, pool, certificates)
+    return pool, certificates
+
+
+def _el_certificate(g, pool, certificates, budget, seed):
+    """The el search's certificate on the pool, run once per (budget, seed)."""
+    cert = certificates.get((budget, seed))
+    if cert is None:
+        cert = _search(g, pool, _sum_norms, budget, seed)
+        certificates[budget, seed] = cert
+    return cert
+
+
 def el_estimate(g, budget=None, seed=0):
     """Bracket [log-norm lower bound, best certificate sum] for el(g).
 
     Deterministic for a fixed seed; the certificate witnessing the upper
-    bound is returned inside the bracket.
+    bound is returned inside the bracket.  ``el_estimate`` and
+    ``rel_estimate`` share one pool and one el search per element: asked of
+    the same element one after the other, the second call builds no pool
+    and, for the same budget and seed, runs no el search.  Bracket and
+    certificate are new objects on every call, and the certificate's target
+    is g itself.
     """
     budget = budget or EstimateBudget()
-    cert = _search(g, _initial_certificates(g, None), _sum_norms, budget, seed)
+    cert = _el_certificate(g, *_element_work(g, None), budget, seed)
+    cert = replace(cert, factors=list(cert.factors), target=g)
     return ElBracket(el_lower_bound(g), cert.sum_of_norms, cert)
 
 
@@ -426,12 +469,14 @@ def rel_estimate(g, budget=None, seed=0, initial_factors=None):
     """Upper bound for the reduced length: minimal |sum X_i| over the same
     certificate family the el search explores, including the certificate
     that wins the el objective (so rel <= el upper holds on the shared
-    pool).  Both searches start from one pool."""
+    pool).  Both searches start from one pool, which, without
+    ``initial_factors``, is the pool ``el_estimate`` uses for the same
+    element; its el search is shared with ``el_estimate`` too."""
     budget = budget or EstimateBudget()
-    pool = _initial_certificates(g, initial_factors)
+    pool, certificates = _element_work(g, initial_factors)
     value = _search(g, pool, _norm_of_sum, budget, seed).norm_of_sum
     if budget.optimize:
-        el_cert = _search(g, pool, _sum_norms, budget, seed)
+        el_cert = _el_certificate(g, pool, certificates, budget, seed)
         value = min(value, el_cert.norm_of_sum)
     return value
 

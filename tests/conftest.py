@@ -3,7 +3,8 @@
 criterion 3 measure the library rather than thread contention with other
 processes on the machine.  pytest loads this file before any test module
 imports numpy, which reads the variables when it is first imported.  The
-``logm_inputs`` fixture records the library's calls to scipy's ``logm``."""
+``logm_inputs`` fixture records the library's calls to scipy's ``logm``;
+every test starts with no element kept by ``explength``."""
 
 import importlib.util
 import os
@@ -18,6 +19,16 @@ _run = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_run)
 for _var in _run.BLAS_THREAD_VARS:
     os.environ[_var] = "1"
+
+
+@pytest.fixture(autouse=True)
+def no_kept_element():
+    """``el_estimate`` and ``rel_estimate`` keep the pool and el certificates
+    of the last element asked; each test starts without one, so a test that
+    counts calls into ``explength`` does not depend on the tests before it."""
+    from lielength import explength
+
+    explength._last_element = None
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lielength as ll
-from lielength import cli
+from lielength import cli, explength
 
 
 def run(argv):
@@ -321,11 +321,19 @@ _COARSE_SPACE = {"ids": [0, 1], "dist": [[0, 1], [1, 0]], "origin": 0}
      "ids must be distinct scalars, not [[0], [1]]"),
     (["en", "hsdet"], [{"kind": "E", "i": 1, "j": 2, "a": [1e308, 0]}],
      "matrix exponential did not converge"),
+    (["cel", "compute"], {"vertices": True, "edges": [], "phase": [0.25]},
+     "a graph needs at least one vertex, not True"),
+    (["en", "hsdet"], [{"kind": "E", "i": True, "j": 2, "a": [1, 0]}],
+     "a generator's i must be an integer, not True"),
+    (["el", "estimate"], {"algebra": {"kind": "matrix", "k": True}, "n": 1,
+                          "entries": []},
+     "matrix algebra needs an integer k >= 1, not True"),
 ], ids=["el-list", "el-algebra-kind", "rel-entries", "cel-phase", "cel-list",
         "decompose-algebra-list", "hsdet-string", "hsdet-payload",
         "coarse-list", "coarse-origin", "coarse-image", "coarse-domain-id",
         "el-k-string", "hsdet-slot-string", "coarse-pairs-number",
-        "coarse-list-ids", "hsdet-payload-1e308"])
+        "coarse-list-ids", "hsdet-payload-1e308", "cel-vertices-true",
+        "hsdet-slot-true", "el-k-true"])
 def test_malformed_input_json_exits_2_naming_the_field(tmp_path, capsys,
                                                        command, doc, message):
     """JSON of the wrong shape or missing a key is unusable input: one error
@@ -462,6 +470,10 @@ def test_schatten_chain_refuses_a_step_past_the_cap(capsys):
     assert "MAX_CHAIN_STEPS = 10000" in captured.err
 
 
+REL_GL2_SEED3 = {"rel_upper": 3.043889925484966,
+                 "el_upper": 3.3113622895845207}
+
+
 @pytest.mark.parametrize("argv, pinned", [
     (["el", "bracket", "--group", "u4", "--seed", "7"],
      {"lower": 6.661338147750937e-16, "upper": 2.0762666856961056,
@@ -469,8 +481,7 @@ def test_schatten_chain_refuses_a_step_past_the_cap(capsys):
     (["el", "bracket", "--group", "gl3", "--seed", "1"],
      {"lower": 2.00423580343932, "upper": 4.264042864568143,
       "residual": 1.0640846502575137e-14}),
-    (["rel", "estimate", "--group", "gl2", "--seed", "3"],
-     {"rel_upper": 3.043889925484966, "el_upper": 3.3113622895845207}),
+    (["rel", "estimate", "--group", "gl2", "--seed", "3"], REL_GL2_SEED3),
 ], ids=["el-u4-seed7", "el-gl3-seed1", "rel-gl2-seed3"])
 def test_reference_runs_keep_their_bracket_values(tmp_path, argv, pinned):
     """The bracket values of the three reference CLI runs stay pinned to
@@ -482,6 +493,24 @@ def test_reference_runs_keep_their_bracket_values(tmp_path, argv, pinned):
     got = {key: bracket["certificate"][key] if key == "residual"
            else bracket[key] for key in pinned}
     assert got == pytest.approx(pinned, rel=0, abs=1e-12)
+
+
+def test_rel_runs_two_searches_and_prints_its_pinned_values(monkeypatch,
+                                                            capsys):
+    """The el half of the rel run is the el search of its el bracket: one
+    rel search and one el search in all."""
+    calls = []
+    search = explength._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(explength, "_search", counted)
+    assert run(["rel", "estimate", "--group", "gl2", "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(calls) == 2
+    assert {key: doc[key] for key in REL_GL2_SEED3} == REL_GL2_SEED3
 
 
 def _write_group_json(path):

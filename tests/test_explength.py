@@ -2,7 +2,9 @@
 pseudo-length certificate algebra."""
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -389,6 +391,181 @@ def test_optimized_rel_builds_one_pool(monkeypatch):
     budget = ll.EstimateBudget(restarts=1, iterations=1, trials=1)
     ll.rel_estimate(g, budget=budget, seed=0)
     assert len(calls) == 1
+
+
+# -- one pool and one el search per element ---------------------------------------
+
+QUICK = ll.EstimateBudget(optimize=False)
+SMALL = ll.EstimateBudget(restarts=1, iterations=2, trials=2)
+BUDGETS = pytest.mark.parametrize("budget", [QUICK, SMALL],
+                                  ids=["quick", "optimized"])
+ESTIMATES = {"el": ll.el_estimate, "rel": ll.rel_estimate}
+
+
+def _shared_work_elements():
+    path = ll.function_algebra(25, [(v, v + 1) for v in range(24)])
+    field = ll.MatrixOverAlgebra.random(path, 2, np.random.default_rng(8),
+                                        scale=0.4)
+    real = ll.MatrixOverAlgebra(ll.scalar_real(), [[1.3, 0.4], [-0.2, 0.8]])
+    return {"gl2": acceptance.random_gl(2, np.random.default_rng(3)),
+            "gl3": acceptance.random_gl(3, np.random.default_rng(1)),
+            "u3": acceptance.random_unitary(3, np.random.default_rng(7)),
+            "real-gl2": ll.GroupElement(real, "GL"),
+            "field": ll.mat_exp(field)}
+
+
+ELEMENTS = _shared_work_elements()
+
+
+def _values(result):
+    """A rel value, or a bracket's values and its certificate's bytes."""
+    if isinstance(result, float):
+        return result
+    cert = result.certificate
+    return (result.lower, result.upper, cert.residual, cert.sum_of_norms,
+            cert.norm_of_sum, b"".join(x.data.tobytes() for x in cert.factors))
+
+
+def _cold(kind, g, budget):
+    explength._last_element = None
+    return _values(ESTIMATES[kind](g, budget=budget, seed=1))
+
+
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Calls into ``_initial_certificates`` and ``_search`` during a test."""
+    calls = {"initial": 0, "search": 0}
+    for key, name in (("initial", "_initial_certificates"),
+                      ("search", "_search")):
+        def counted(*args, _fn=getattr(explength, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(explength, name, counted)
+    return calls
+
+
+@BUDGETS
+@pytest.mark.parametrize("name", list(ELEMENTS))
+def test_shared_work_returns_what_a_cold_call_returns(name, budget):
+    g = ELEMENTS[name]
+    cold = {kind: _cold(kind, g, budget) for kind in ESTIMATES}
+    for order in (("el", "rel", "el"), ("rel", "el")):
+        explength._last_element = None
+        got = [_values(ESTIMATES[kind](g, budget=budget, seed=1))
+               for kind in order]
+        assert got == [cold[kind] for kind in order]
+
+
+@BUDGETS
+def test_a_second_element_replaces_the_first(budget):
+    calls = [("gl2", "el"), ("field", "el"), ("gl2", "el"), ("field", "rel"),
+             ("gl2", "rel"), ("gl2", "el")]
+    cold = {call: _cold(call[1], ELEMENTS[call[0]], budget) for call in calls}
+    explength._last_element = None
+    for name, kind in calls:
+        got = _values(ESTIMATES[kind](ELEMENTS[name], budget=budget, seed=1))
+        assert got == cold[name, kind]
+
+
+@pytest.mark.parametrize("name", list(ELEMENTS))
+def test_a_hit_builds_no_pool_and_runs_no_el_search(name, work_calls):
+    g = ELEMENTS[name]
+    steps = [
+        # cold: one pool, then the rel search and the el search
+        (ll.rel_estimate, SMALL, 1, {"initial": 1, "search": 2}),
+        (ll.el_estimate, SMALL, 1, {"initial": 1, "search": 2}),
+        # only the rel objective is searched again
+        (ll.rel_estimate, SMALL, 1, {"initial": 1, "search": 3}),
+        # another budget or seed is another el search on the same pool
+        (ll.el_estimate, QUICK, 1, {"initial": 1, "search": 4}),
+        (ll.el_estimate, SMALL, 2, {"initial": 1, "search": 5}),
+        (ll.rel_estimate, QUICK, 1, {"initial": 1, "search": 6}),
+    ]
+    for estimate, budget, seed, expected in steps:
+        estimate(g, budget=budget, seed=seed)
+        assert work_calls == expected
+    # caller-supplied factors keep their own pool and their own el search
+    ll.rel_estimate(g, budget=SMALL, seed=1, initial_factors=[ll.mat_log(g)])
+    assert work_calls == {"initial": 2, "search": 8}
+
+
+def test_equal_bytes_under_another_algebra_or_tag_are_a_miss():
+    """Two restarts refine the two-factor start, whose re-split directions
+    are skew-adjoint under a U tag."""
+    budget = ll.EstimateBudget(restarts=2, iterations=2, trials=2)
+    gl2 = ELEMENTS["gl2"]
+    entries = np.array([[1.5, 0.2], [0.1j, 1.2]])
+    pairs = [(gl2, ll.GroupElement(gl2.matrix, "U", validate=False)),
+             (ll.GroupElement(ll.MatrixOverAlgebra(
+                 ll.matrix_algebra(2), entries[None, None]), "GL"),
+              ll.GroupElement(ll.MatrixOverAlgebra(
+                  ll.function_algebra(4), entries.reshape(1, 1, 4)), "GL"))]
+    for first, second in pairs:
+        cold = _cold("el", second, budget)
+        assert _cold("el", first, budget) != cold
+        assert _values(ll.el_estimate(second, budget=budget, seed=1)) == cold
+
+
+def test_writing_through_the_callers_array_is_a_miss(work_calls):
+    alg = ll.scalar_complex()
+    data = np.array([[1.2, 0.3j], [0.1, 0.9]])
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, data), "GL")
+    before = _values(ll.el_estimate(g, budget=SMALL, seed=1))
+    data[0, 1] = 0.5
+    got = _values(ll.el_estimate(g, budget=SMALL, seed=1))
+    assert work_calls["initial"] == 2
+    assert got != before
+    fresh = ll.GroupElement(ll.MatrixOverAlgebra(alg, data.copy()), "GL")
+    assert got == _cold("el", fresh, SMALL)
+
+
+def test_a_hit_hands_out_new_objects_certifying_the_callers_element():
+    """What a caller does to its bracket, its certificate or its array after
+    a call does not reach the next caller."""
+    data = np.array([[1.2, 0.3j], [0.1, 0.9]])
+    first = ll.GroupElement(ll.MatrixOverAlgebra(ll.scalar_complex(), data))
+    second = ll.GroupElement(ll.MatrixOverAlgebra(ll.scalar_complex(),
+                                                  data.copy()))
+    cold = _cold("el", second, SMALL)
+    explength._last_element = None
+    bracket = ll.el_estimate(first, budget=SMALL, seed=1)
+    bracket.upper += 1.0
+    bracket.certificate.factors.clear()
+    data[0, 1] = 0.5
+    hit = ll.el_estimate(second, budget=SMALL, seed=1)
+    assert _values(hit) == cold
+    assert hit.certificate.target is second
+
+
+def test_outside_the_identity_component_raises_on_every_call(work_calls):
+    alg = ll.scalar_real()
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.diag([-1.0, 2.0])), "GL")
+    for estimate in (ll.el_estimate, ll.rel_estimate, ll.el_estimate):
+        with pytest.raises(ll.NoFactorizationError, match="det < 0"):
+            estimate(g, budget=SMALL, seed=1)
+    assert work_calls == {"initial": 3, "search": 0}
+
+
+def test_two_threads_on_two_elements_get_the_serial_results():
+    """Two workers alternate el and rel, each on its own element, 20 calls
+    in all; the kept element changes hands between them."""
+    elements = [ELEMENTS["gl2"], ELEMENTS["real-gl2"]]
+
+    def alternate(g):
+        return [_values(ESTIMATES[kind](g, budget=SMALL, seed=1))
+                for kind in ("el", "rel") * 5]
+
+    serial = [alternate(g) for g in elements]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as workers:
+            futures = [workers.submit(alternate, g) for g in elements]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 # -- certificates -----------------------------------------------------------------
