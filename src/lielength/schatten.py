@@ -62,17 +62,18 @@ class SchattenContext:
 
 def p_norm(a, context):
     """Weighted Schatten p-norm via the singular spectrum: with |a| = V S V*,
-    |a|_p^p = sum_j (sum_i w_i |V_ij|^2) s_j^p.
+    |a|_p^p = sum_j (sum_i w_i |V_ij|^2) s_j^p, which at p = 2 is the
+    weighted trace tau(a* a).
 
     ``a`` is one matrix, whose norm is returned as a float, or a stack of
     matrices along the leading axes, whose norms are returned as an array of
-    the stack's shape, each equal to the norm of its matrix alone.  Only a
-    matrix whose ``a* a`` is not finite is refused, with a ``ValueError``.
+    the stack's shape, each equal to the norm of its matrix alone.  A matrix
+    with a non-finite entry, or whose ``a* a`` is not finite, is refused with
+    a ``ValueError``.
     """
     a = np.asarray(a, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram, s, vertex_weights = _spectrum(a, context)
-        sums = np.sum(vertex_weights * s ** context.p, axis=-1)
+        sums, squares, _ = _power_sums(a, context, relative=False)
     root = 1.0 / context.p
     # Only the zero matrix has the power sum 0: any other 0, inf or NaN is
     # the sum lost to the float range.  The cheap test on floats goes first.
@@ -84,29 +85,48 @@ def p_norm(a, context):
     # differently in the last bit.
     norms = np.array([t ** root for t in sums.ravel()]).reshape(sums.shape)
     if not in_range:
-        if not np.isfinite(gram).all():
+        if not np.isfinite(a).all():
+            raise ValueError(f"p = {context.p:g}: the matrix has a non-finite "
+                             "entry")
+        if not np.isfinite(squares).all():
             raise ValueError(f"p = {context.p:g}: a* a is not finite, so "
                              "the singular values are lost to the float range")
-        # A lost norm is s_max (sum_j (...) (s_j / s_max)^p)^(1/p), with s
-        # taken on the matrix divided by its largest entry, so a* a cannot
-        # underflow.
+        # A lost norm is t (sum_j (...) (s_j / t)^p)^(1/p), with s taken on
+        # the matrix divided by its largest entry, so a* a cannot underflow;
+        # t is s_max, or 1 at p = 2, where the sum is a trace of at least
+        # the least weight.
         lost = ~np.isfinite(sums) | (sums == 0) & a.any(axis=(-2, -1))
-        scale = np.abs(a[lost]).max(axis=(-2, -1), keepdims=True)
-        _, s, vertex_weights = _spectrum(a[lost] / scale, context)
-        top = s.max(axis=-1, keepdims=True)
-        ratios = np.sum(vertex_weights * (s / top) ** context.p, axis=-1)
+        scale = np.abs(a[lost]).max(axis=(-2, -1))
+        ratios, _, top = _power_sums(a[lost] / scale[:, None, None], context,
+                                     relative=True)
         norms[lost] = [c * m * t ** root for c, m, t in
-                       zip(scale.ravel().tolist(), top.ravel().tolist(), ratios)]
+                       zip(scale.tolist(), top.tolist(), ratios)]
     return float(norms) if sums.ndim == 0 else norms
 
 
-def _spectrum(a, context):
-    """a* a of each matrix of a stack, its singular values s_j, and the trace
-    weight sum_i w_i |V_ij|^2 of each singular vector."""
+def _power_sums(a, context, *, relative):
+    """The weighted power sum sum_j c_j (s_j / t)^p of each matrix of a
+    stack, over its singular values s_j, with c_j = sum_i w_i |V_ij|^2 for
+    |a| = V S V*; returns the sums, the entries of a* a they are made of,
+    and t, which is 1 unless ``relative``, where it is the top s_j.
+
+    At p = 2 the sum is tau(a* a) = sum_i w_i sum_k |a_ki|^2, taken from the
+    entries with no eigendecomposition, since sum_j c_j s_j^2 is
+    sum_i w_i (a* a)_ii; the entries returned are that diagonal, and t is 1.
+    """
+    if context.p == 2:
+        diagonal = (a * a.conj()).real.sum(axis=-2)
+        top = np.ones(a.shape[:-2]) if relative else 1.0
+        return (context.weights * diagonal).sum(axis=-1), diagonal, top
     gram = np.swapaxes(a.conj(), -2, -1) @ a
     s2, vecs = np.linalg.eigh(gram)
     s = np.sqrt(np.clip(s2, 0.0, None))
-    return gram, s, context.weights @ (np.abs(vecs) ** 2)
+    top = 1.0
+    if relative:
+        top = s.max(axis=-1)
+        s = s / top[..., None]
+    vertex_weights = context.weights @ (np.abs(vecs) ** 2)
+    return np.sum(vertex_weights * s ** context.p, axis=-1), gram, top
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +140,11 @@ class PUnitary:
         m = read_only(self.matrix, complex)
         if m.shape != (self.context.dim, self.context.dim):
             raise ValueError("matrix shape does not match context dimension")
-        if np.linalg.norm(m.conj().T @ m - np.eye(self.context.dim)) > 1e-9:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has a non-finite entry")
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.linalg.norm(m.conj().T @ m - np.eye(self.context.dim))
+        if not residual <= 1e-9:
             raise ValueError("matrix is not unitary within 1e-9")
         object.__setattr__(self, "matrix", m)
 
@@ -139,11 +163,14 @@ class PUnitary:
     def principal_log_selfadjoint(self):
         """The self-adjoint a with u = e^{ia} and |a|_inf <= pi, on the
         principal branch of ``unitary_spectrum``."""
+        return _selfadjoint(*self._principal_spectrum())
+
+    def _principal_spectrum(self):
+        """Angles theta in (-pi, pi] and unitary z with u = z e^{i theta} z*."""
         _, theta, z, diagonal = unitary_spectrum(self.matrix)
         if not diagonal:
             raise NumericFailureError("unitary input failed to diagonalize")
-        a = (z * theta) @ z.conj().T
-        return 0.5 * (a + a.conj().T)
+        return theta, z
 
     @classmethod
     def identity(cls, context):
@@ -154,6 +181,12 @@ class PUnitary:
         a = np.asarray(a, dtype=complex)
         lam, vecs = np.linalg.eigh(a)
         return cls(context, exp_i_selfadjoint(lam, vecs))
+
+
+def _selfadjoint(theta, z):
+    """z diag(theta) z*, made exactly self-adjoint."""
+    a = (z * theta) @ z.conj().T
+    return 0.5 * (a + a.conj().T)
 
 
 def random_selfadjoint(dim, rng, operator_norm=math.pi):
@@ -176,12 +209,17 @@ def sandwich_check(a, context):
     fails by more than 1e-9.
     """
     a = np.asarray(a, dtype=complex)
-    if np.linalg.norm(a - a.conj().T) > 1e-9 * (1 + np.linalg.norm(a)):
+    if not np.isfinite(a).all():
+        raise ValueError("input has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.linalg.norm(a - a.conj().T)
+        size = np.linalg.norm(a)
+    if not asymmetry <= 1e-9 * (1 + size):
         raise ValueError("input must be self-adjoint")
-    lam = np.linalg.eigvalsh(a)
-    if np.max(np.abs(lam)) > math.pi + 1e-12:
+    lam, vecs = np.linalg.eigh(a)
+    if not np.max(np.abs(lam)) <= math.pi + 1e-12:
         raise ValueError("spectrum outside [-pi, pi]")
-    u = PUnitary.from_selfadjoint(a, context)
+    u = PUnitary(context, exp_i_selfadjoint(lam, vecs))
     rhs = p_norm(a, context)
     lhs = 0.5 * rhs
     mid = u.dist_to_identity()
@@ -214,19 +252,19 @@ def coarse_proper_chain(u, delta_cap, step):
         raise ValueError(
             f"step {step} needs a chain of more than MAX_CHAIN_STEPS = "
             f"{MAX_CHAIN_STEPS} steps")
-    chain = _subdivided_chain(u.principal_log_selfadjoint(), u.context,
+    chain = _subdivided_chain(*u._principal_spectrum(), u.context,
                               math.floor(ratio) + 1)
     if max(_step_lengths(chain)) >= step:
         raise AssertionError("subdivided chain exceeded the step bound")
     return chain
 
 
-def _subdivided_chain(a, context, k):
-    """The chain e^{i a j / k}, j = 0..k, for a self-adjoint log ``a``."""
-    lam, vecs = np.linalg.eigh(a)
+def _subdivided_chain(theta, z, context, k):
+    """The chain e^{i a j / k}, j = 0..k, for the self-adjoint log
+    a = z diag(theta) z*, from that spectrum."""
     chain = [PUnitary.identity(context)]
     for j in range(1, k + 1):
-        m = exp_i_selfadjoint(lam * (j / k), vecs)
+        m = exp_i_selfadjoint(theta * (j / k), z)
         chain.append(PUnitary(context, m))
     return chain
 
@@ -258,10 +296,10 @@ def geodesic_chain(u):
     d0 = u.dist_to_identity()
     if d0 == 0.0:
         return GeodesicChainReport([PUnitary.identity(u.context)], [], 0.0, 0.0)
-    a = u.principal_log_selfadjoint()
-    anorm = p_norm(a, u.context)
+    theta, z = u._principal_spectrum()
+    anorm = p_norm(_selfadjoint(theta, z), u.context)
     n = 1 if anorm <= 1.0 else math.ceil(anorm / 2.0)
-    chain = _subdivided_chain(a, u.context, n)
+    chain = _subdivided_chain(theta, z, u.context, n)
     steps = _step_lengths(chain)
     report = GeodesicChainReport(chain, steps, float(sum(steps)), d0)
     if not report.satisfies_large_scale_geodesic:
@@ -294,15 +332,16 @@ def haagerup_witness(elements, n):
     context = elements[0].context
     if any(g.context != context for g in elements):
         raise ValueError("the elements do not share one SchattenContext")
-    # d(g_i, g_j) = d(g_j, g_i) exactly, as (-a)* (-a) = a* a bit for bit,
-    # and d(g, g) = 0: one stacked norm per row fills both triangles.
+    # d(g_i, g_j) = d(g_j, g_i) exactly, as the norm of -a is that of a bit
+    # for bit, and d(g, g) = 0: one stacked norm over the pairs i < j fills
+    # both triangles.
     mats = np.stack([g.matrix for g in elements])
     m = len(elements)
     gram = np.eye(m)
-    for i in range(m - 1):
-        dists = p_norm(mats[i] - mats[i + 1:], context)
-        for j, d in enumerate(dists.tolist(), start=i + 1):
-            gram[i, j] = gram[j, i] = math.exp(-(d * d) / n)
+    rows, cols = np.triu_indices(m, 1)
+    dists = p_norm(mats[rows] - mats[cols], context).tolist() if m > 1 else []
+    for i, j, d in zip(rows.tolist(), cols.tolist(), dists):
+        gram[i, j] = gram[j, i] = math.exp(-(d * d) / n)
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))))
     return gram, min_eig
 

@@ -92,6 +92,98 @@ def test_stacked_p_norm_equals_each_matrix_alone(p, dim, weighted, shape,
         assert type(alone) is float and norms[index] == alone
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(1, 8), st.booleans(),
+       st.lists(st.integers(1, 4), max_size=2).map(tuple),
+       st.integers(0, 2**32 - 1))
+def test_p2_norm_equals_the_spectral_formula(dim, weighted, shape, seed):
+    """At p = 2 the norm is taken from the trace, tau(a* a)^(1/2); it equals
+    sum_j (sum_i w_i |V_ij|^2) s_j^2 over the singular value decomposition
+    a = U S V*, to rounding."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 3.0, dim) if weighted else None
+    ctx = ll.SchattenContext(dim, 2, weights=weights)
+    stack = (rng.standard_normal(shape + (dim, dim))
+             + 1j * rng.standard_normal(shape + (dim, dim)))
+    _, s, vh = np.linalg.svd(stack)
+    vertex_weights = np.abs(vh) ** 2 @ ctx.weights
+    spectral = np.sqrt(np.sum(vertex_weights * s ** 2, axis=-1))
+    norms = ll.p_norm(stack, ctx)
+    assert np.shape(norms) == shape
+    assert np.allclose(norms, spectral, rtol=1e-13, atol=0.0)
+
+
+def test_p2_norms_and_chains_take_no_eigendecomposition(monkeypatch):
+    """At p = 2 no norm calls eigh, and the chains are built from the
+    spectrum of the principal log, with no eigh of the log."""
+    ctx = ll.SchattenContext(4, 2)
+    u = schatten.random_punitary(ctx, np.random.default_rng(3))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert ll.p_norm(np.eye(4), ctx) == 2.0
+    report = ll.geodesic_chain(u)
+    assert report.satisfies_large_scale_geodesic
+    chain = ll.coarse_proper_chain(u, u.dist_to_identity() + 1.0, 0.5)
+    assert chain[-1].dist_to(u) <= 1e-12
+
+
+def test_sandwich_check_takes_one_eigh(monkeypatch):
+    """One eigh of a gives both the spectrum test and e^{ia}, whose bytes
+    are those of ``PUnitary.from_selfadjoint``."""
+    ctx = ll.SchattenContext(4, 2)
+    a = schatten.random_selfadjoint(4, np.random.default_rng(4), 2.0)
+    expected = schatten.PUnitary.from_selfadjoint(a, ctx).dist_to_identity()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: calls.append("eigh") or eigh(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append("eigvalsh"))
+    _, mid, _ = ll.sandwich_check(a, ctx)
+    assert calls == ["eigh"] and mid == expected
+
+
+def test_haagerup_gram_takes_one_stacked_norm(monkeypatch):
+    ctx = ll.SchattenContext(3, 2)
+    rng = np.random.default_rng(20)
+    elements = [schatten.random_punitary(ctx, rng) for _ in range(7)]
+    shapes = []
+    p_norm = schatten.p_norm
+    monkeypatch.setattr(schatten, "p_norm",
+                        lambda a, c: shapes.append(a.shape) or p_norm(a, c))
+    schatten.haagerup_witness(elements, 1)
+    assert shapes == [(21, 3, 3)]
+
+
+NON_FINITE = {"nan": np.full((2, 2), math.nan),
+              "inf": np.array([[math.inf, 0.0], [0.0, 1.0]])}
+
+
+@pytest.mark.parametrize("entries", NON_FINITE.values(), ids=NON_FINITE)
+def test_non_finite_unitaries_and_selfadjoints_are_refused(entries):
+    """A NaN or an infinity is refused by name, not taken for a unitary or
+    a self-adjoint, and not blamed on the float range."""
+    ctx = ll.SchattenContext(2, 2)
+    with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+        ll.PUnitary(ctx, entries)
+    with pytest.raises(ValueError, match="input has a non-finite entry"):
+        ll.sandwich_check(entries, ctx)
+    for p in (2.0, 3.0):
+        for a in (entries, np.stack([np.eye(2), entries])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"p = {p:g}: the matrix has a non-finite entry")):
+                ll.p_norm(a, ll.SchattenContext(2, p))
+
+
+def test_a_residual_past_the_float_range_is_not_unitary():
+    with pytest.raises(ValueError, match="not unitary within 1e-9"):
+        ll.PUnitary(ll.SchattenContext(2, 2), 1e200 * np.eye(2))
+
+
 def test_sandwich_fixtures():
     ctx = ll.SchattenContext(1, 2)
     assert ll.sandwich_check(np.zeros((1, 1)), ctx) == (0.0, 0.0, 0.0)
