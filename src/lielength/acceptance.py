@@ -53,7 +53,8 @@ def random_unitary(k, rng):
     operator norm."""
     alg = algebra.matrix_algebra(k)
     a = schatten.random_selfadjoint(k, rng, operator_norm=rng.uniform(0.3, math.pi))
-    u = algebra.exp_i_selfadjoint(*np.linalg.eigh(a))
+    lam, vecs = np.linalg.eigh(a)
+    u = algebra.spectral(np.exp(1j * lam), vecs)
     mat = algebra.MatrixOverAlgebra(alg, u[None, None, :, :])
     return algebra.GroupElement(mat, "U", validate=False)
 

@@ -556,9 +556,11 @@ def unitary_spectrum(m):
     return d, theta, z, diagonal
 
 
-def exp_i_selfadjoint(lam, vecs):
-    """e^{ia} for the self-adjoint a = vecs diag(lam) vecs*."""
-    return (vecs * np.exp(1j * lam)) @ vecs.conj().T
+def spectral(values, vecs):
+    """V f(Lambda) V*, the function f of a normal matrix V Lambda V*, from
+    ``values`` = f(Lambda) and ``vecs`` = V, either with leading stack axes
+    that broadcast: e^{ia} is ``spectral(np.exp(1j * lam), V)``."""
+    return (vecs * values[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 # Eigenvector condition number below which a non-unitary log is taken as
@@ -596,8 +598,7 @@ def _unitary_logs(stack, per):
     diagonalize, by position.  ``per`` (slices to an element) is unused: a
     unitary log costs the same refused or not."""
     d, theta, z, diagonal = unitary_spectrum(stack)
-    logd = np.log(np.abs(d)) + 1j * theta
-    logs = (z * logd[:, None, :]) @ z.conj().swapaxes(-1, -2)
+    logs = spectral(np.log(np.abs(d)) + 1j * theta, z)
     return logs, {i: NumericFailureError(_NOT_DIAGONAL)
                   for i in np.flatnonzero(~diagonal)}
 

@@ -33,6 +33,7 @@ from .algebra import (
     matrix_to_json,
     op_norms,
     random_stack,
+    spectral,
     stack_from_flat,
     stack_to_flat,
 )
@@ -231,7 +232,7 @@ def _polar_certificate(g):
     unitary and P positive definite: both factors always admit a principal
     log over the complex scalars."""
     u, s, vh = np.linalg.svd(g.matrix.to_flat())
-    p_flat = (np.swapaxes(vh.conj(), -1, -2) * s[..., None, :]) @ vh
+    p_flat = spectral(s, vh.conj().swapaxes(-1, -2))
     w = MatrixOverAlgebra.from_flat(g.algebra, g.n, u @ vh)
     p = MatrixOverAlgebra.from_flat(g.algebra, g.n, p_flat)
     return [_try_log(w, "U"), _try_log(p, "GL")]

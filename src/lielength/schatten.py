@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import (
     NumericFailureError,
-    exp_i_selfadjoint,
     read_only,
+    spectral,
     unitary_spectrum,
 )
 
@@ -178,14 +178,19 @@ class PUnitary:
 
     @classmethod
     def from_selfadjoint(cls, a, context):
-        a = np.asarray(a, dtype=complex)
-        lam, vecs = np.linalg.eigh(a)
-        return cls(context, exp_i_selfadjoint(lam, vecs))
+        return _exp_i(a, context)[1]
+
+
+def _exp_i(a, context):
+    """|a|_inf and e^{ia} for a self-adjoint a, from one eigh of a."""
+    lam, vecs = np.linalg.eigh(np.asarray(a, dtype=complex))
+    return (float(np.max(np.abs(lam))),
+            PUnitary(context, spectral(np.exp(1j * lam), vecs)))
 
 
 def _selfadjoint(theta, z):
     """z diag(theta) z*, made exactly self-adjoint."""
-    a = (z * theta) @ z.conj().T
+    a = spectral(theta, z)
     return 0.5 * (a + a.conj().T)
 
 
@@ -216,10 +221,9 @@ def sandwich_check(a, context):
         size = np.linalg.norm(a)
     if not asymmetry <= 1e-9 * (1 + size):
         raise ValueError("input must be self-adjoint")
-    lam, vecs = np.linalg.eigh(a)
-    if not np.max(np.abs(lam)) <= math.pi + 1e-12:
+    top, u = _exp_i(a, context)
+    if not top <= math.pi + 1e-12:
         raise ValueError("spectrum outside [-pi, pi]")
-    u = PUnitary(context, exp_i_selfadjoint(lam, vecs))
     rhs = p_norm(a, context)
     lhs = 0.5 * rhs
     mid = u.dist_to_identity()
@@ -250,29 +254,25 @@ def coarse_proper_chain(u, delta_cap, step):
     ratio = max(math.pi / step, 2.0 * delta_cap / step)
     if not ratio < MAX_CHAIN_STEPS:
         raise ValueError(
-            f"step {step} needs a chain of more than MAX_CHAIN_STEPS = "
-            f"{MAX_CHAIN_STEPS} steps")
-    chain = _subdivided_chain(*u._principal_spectrum(), u.context,
-                              math.floor(ratio) + 1)
-    if max(_step_lengths(chain)) >= step:
+            f"delta_cap {delta_cap} and step {step} need a chain of more "
+            f"than MAX_CHAIN_STEPS = {MAX_CHAIN_STEPS} steps: k = "
+            "floor(max(pi, 2 delta_cap) / step) + 1")
+    chain, steps = _chain(*u._principal_spectrum(), u.context,
+                          math.floor(ratio) + 1)
+    if max(steps) >= step:
         raise AssertionError("subdivided chain exceeded the step bound")
     return chain
 
 
-def _subdivided_chain(theta, z, context, k):
-    """The chain e^{i a j / k}, j = 0..k, for the self-adjoint log
-    a = z diag(theta) z*, from that spectrum."""
-    chain = [PUnitary.identity(context)]
-    for j in range(1, k + 1):
-        m = exp_i_selfadjoint(theta * (j / k), z)
-        chain.append(PUnitary(context, m))
-    return chain
-
-
-def _step_lengths(chain):
-    """d(u_j, u_{j+1}) along a chain of two or more elements, as floats."""
-    mats = np.stack([v.matrix for v in chain])
-    return p_norm(mats[:-1] - mats[1:], chain[0].context).tolist()
+def _chain(theta, z, context, k):
+    """The chain 1, e^{i a j / k} for j = 1..k, of the self-adjoint log
+    a = z diag(theta) z*, from one ``spectral`` call, and its k step
+    lengths as floats, from one stacked norm."""
+    fractions = np.arange(1, k + 1)[:, None] / k
+    points = spectral(np.exp(1j * (theta * fractions)), z)
+    mats = np.concatenate([np.eye(context.dim)[None], points])
+    chain = [PUnitary(context, m) for m in mats]
+    return chain, p_norm(mats[:-1] - mats[1:], context).tolist()
 
 
 @dataclass
@@ -299,8 +299,7 @@ def geodesic_chain(u):
     theta, z = u._principal_spectrum()
     anorm = p_norm(_selfadjoint(theta, z), u.context)
     n = 1 if anorm <= 1.0 else math.ceil(anorm / 2.0)
-    chain = _subdivided_chain(theta, z, u.context, n)
-    steps = _step_lengths(chain)
+    chain, steps = _chain(theta, z, u.context, n)
     report = GeodesicChainReport(chain, steps, float(sum(steps)), d0)
     if not report.satisfies_large_scale_geodesic:
         raise AssertionError("geodesic chain violated the constant-2 bounds")
@@ -325,7 +324,7 @@ def haagerup_witness(elements, n):
     For p = 2 the squared distance is of negative type on the group, so the
     Gram matrix is positive semidefinite up to rounding.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be >= 1")
     if not elements:
         raise ValueError("the witness needs at least one element")
@@ -360,18 +359,14 @@ def exp_p_continuity(a, sequence, context):
     1 + sum_{k>=2} 1/(k-1)! after integer rescaling into the unit ball).
     """
     a = np.asarray(a, dtype=complex)
-    ua = PUnitary.from_selfadjoint(a, context)
-    sup_norm = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    sup_norm, ua = _exp_i(a, context)
     ratios = []
     for am in sequence:
         am = np.asarray(am, dtype=complex)
-        sup_norm = max(sup_norm, float(np.max(np.abs(np.linalg.eigvalsh(am)))))
+        am_norm, uam = _exp_i(am, context)
+        sup_norm = max(sup_norm, am_norm)
         denom = p_norm(am - a, context)
-        if denom == 0.0:
-            ratios.append(0.0)
-            continue
-        num = PUnitary.from_selfadjoint(am, context).dist_to(ua)
-        ratios.append(num / denom)
+        ratios.append(0.0 if denom == 0.0 else uam.dist_to(ua) / denom)
     if not all(r <= EXP_LIPSCHITZ_BOUND + 1e-9 for r in ratios):
         raise AssertionError(
             f"exp ratio exceeded the telescoping bound e: {max(ratios)}")

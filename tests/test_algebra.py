@@ -464,6 +464,31 @@ def test_flat_path_matches_entrywise_definitions(alg):
     assert x.entry_norms().shape == (n, n)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (12, 12), (25, 2, 2),
+                                   (4, 12, 12)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_spectral_equals_each_product_it_replaced(shape):
+    """``spectral`` is byte-equal to the products written out before it:
+    e^{ia} of one self-adjoint matrix, the log of a stack of unitaries, and
+    the positive polar factor P = V* diag(s) V of an SVD."""
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lam, vecs = np.linalg.eigh(m + m.conj().swapaxes(-1, -2))
+    flat = (-1,) + shape[-2:]
+    slices = zip(lam.reshape(flat[:2]), vecs.reshape(flat))
+    unitaries = algebra.spectral(np.exp(1j * lam), vecs).reshape(flat)
+    assert np.array_equal(unitaries, [(v * np.exp(1j * w)) @ v.conj().T
+                                      for w, v in slices])
+    d, theta, z, _ = algebra.unitary_spectrum(unitaries)
+    logd = np.log(np.abs(d)) + 1j * theta
+    assert np.array_equal(algebra.spectral(logd, z),
+                          (z * logd[:, None, :]) @ z.conj().swapaxes(-1, -2))
+    _, s, vh = np.linalg.svd(m)
+    assert np.array_equal(
+        algebra.spectral(s, vh.conj().swapaxes(-1, -2)),
+        (np.swapaxes(vh.conj(), -1, -2) * s[..., None, :]) @ vh)
+
+
 @pytest.mark.parametrize("k", [1, 2, 6])
 def test_one_slice_spectrum_equals_the_stacked_one(k):
     """A one-slice stack takes the 2-D Schur call; its result is the same

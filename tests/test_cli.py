@@ -482,16 +482,26 @@ REL_GL2_SEED3 = {"rel_upper": 3.043889925484966,
      {"lower": 2.00423580343932, "upper": 4.264042864568143,
       "residual": 1.0640846502575137e-14}),
     (["rel", "estimate", "--group", "gl2", "--seed", "3"], REL_GL2_SEED3),
-], ids=["el-u4-seed7", "el-gl3-seed1", "rel-gl2-seed3"])
+    (["schatten", "chain", "--dim", "4", "--p", "1"],
+     {"distance": 5.80506725124477, "coarse_proper_steps": 13,
+      "geodesic_steps": 4, "geodesic_sum": 7.406617853662292}),
+    (["schatten", "witness", "--dim", "6", "--samples", "50",
+      "--index", "1", "10"],
+     {"n=1": 0.9992071992556798, "n=10": 0.3295010291412893}),
+], ids=["el-u4-seed7", "el-gl3-seed1", "rel-gl2-seed3", "schatten-chain-p1",
+        "schatten-witness-dim6"])
 def test_reference_runs_keep_their_bracket_values(tmp_path, argv, pinned):
-    """The bracket values of the three reference CLI runs stay pinned to
-    1e-12: a change to the search must not move them."""
+    """The values of the reference CLI runs stay pinned to 1e-12: a change
+    to the search or to the spectral calculus must not move them.  A key
+    ``n=<index>`` names the least eigenvalue of that witness row."""
     out = tmp_path / "out.json"
     assert run(argv + ["--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     bracket = doc.get("bracket", doc)
+    rows = {f"n={row['n']}": row["min_eigenvalue"]
+            for row in doc.get("rows", [])}
     got = {key: bracket["certificate"][key] if key == "residual"
-           else bracket[key] for key in pinned}
+           else rows[key] if key in rows else bracket[key] for key in pinned}
     assert got == pytest.approx(pinned, rel=0, abs=1e-12)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lielength as ll
-from lielength import schatten
+from lielength import algebra, schatten
 
 
 def test_p_norm_fixtures():
@@ -265,8 +265,7 @@ def test_coarse_proper_chain_refuses_a_step_past_the_cap(monkeypatch):
     ctx = ll.SchattenContext(4, 2)
     u = schatten.random_punitary(ctx, np.random.default_rng(0))
     built = []
-    monkeypatch.setattr(schatten, "_subdivided_chain",
-                        lambda *args: built.append(args))
+    monkeypatch.setattr(schatten, "_chain", lambda *args: built.append(args))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MAX_CHAIN_STEPS = 10000"):
@@ -282,6 +281,51 @@ def test_coarse_proper_chain_refuses_a_step_past_the_cap(monkeypatch):
     with pytest.raises(ValueError, match="MAX_CHAIN_STEPS"):
         ll.coarse_proper_chain(u, 5.0, 10.0 / cap)
     assert len(ll.coarse_proper_chain(u, 5.0, 10.0 / (cap - 0.5))) - 1 == cap
+
+
+def test_chain_refusal_names_delta_cap_and_step():
+    """Step 1.0 alone needs 4 steps at u's distance 3.13: the count past
+    the cap comes from delta_cap, so the refusal names both."""
+    u = schatten.random_punitary(ll.SchattenContext(3, 2),
+                                 np.random.default_rng(5))
+    assert 3.1 < u.dist_to_identity() < 3.2
+    with pytest.raises(ValueError) as refused:
+        ll.coarse_proper_chain(u, 1e5, 1.0)
+    assert re.search(r"delta_cap 100000\.0 and step 1\.0 need a chain of "
+                     r"more than MAX_CHAIN_STEPS = 10000 steps",
+                     str(refused.value))
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["uniform", "weighted"])
+def test_chain_equals_its_points_and_steps_one_by_one(k, p, weighted):
+    """The stacked chain holds the bytes of e^{i a j / k} built point by
+    point, and its steps are the pairwise distances."""
+    rng = np.random.default_rng(10 * k + p)
+    weights = rng.uniform(0.1, 3.0, 4) if weighted else None
+    ctx = ll.SchattenContext(4, p, weights=weights)
+    theta, z = schatten.random_punitary(ctx, rng)._principal_spectrum()
+    chain, steps = schatten._chain(theta, z, ctx, k)
+    assert len(chain) == k + 1
+    assert chain[0].matrix.tobytes() == np.eye(4, dtype=complex).tobytes()
+    for j, point in enumerate(chain[1:], 1):
+        one = algebra.spectral(np.exp(1j * theta * (j / k)), z)
+        assert point.matrix.tobytes() == one.tobytes()
+    assert steps == [a.dist_to(b) for a, b in zip(chain, chain[1:])]
+
+
+def test_a_chain_is_one_spectral_call(monkeypatch):
+    ctx = ll.SchattenContext(4, 2)
+    u = schatten.random_punitary(ctx, np.random.default_rng(3))
+    calls = []
+    spectral = schatten.spectral
+    monkeypatch.setattr(schatten, "spectral",
+                        lambda *args: calls.append(args) or spectral(*args))
+    chain = ll.coarse_proper_chain(u, u.dist_to_identity() + 1.0, 0.5)
+    assert len(chain) > 2 and len(calls) == 1
+    assert calls[0][0].shape == (len(chain) - 1, 4)
 
 
 def _conjugated_diag(entries, ctx, rng):
@@ -487,6 +531,13 @@ def test_haagerup_gram_equals_the_pairwise_reference(p, dim, count, weighted,
     assert np.all(np.diagonal(gram) == 1.0)
 
 
+@pytest.mark.parametrize("n", [0, 0.5, -math.inf, math.nan])
+def test_haagerup_witness_refuses_an_index_below_one(n):
+    element = schatten.PUnitary.identity(ll.SchattenContext(2, 2))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ll.haagerup_witness([element, element], n)
+
+
 def test_haagerup_witness_needs_an_element():
     with pytest.raises(ValueError, match="at least one element"):
         ll.haagerup_witness([], 1)
@@ -518,6 +569,24 @@ def test_exp_continuity_stationary_sequence():
     a = schatten.random_selfadjoint(3, rng, 1.0)
     report = ll.exp_p_continuity(a, [a, a], ctx)
     assert report.ratios == [0.0, 0.0]
+
+
+def test_exp_continuity_takes_one_eigh_per_operator(monkeypatch):
+    """One eigh of each operator gives both its sup norm and its e^{ia}."""
+    ctx = ll.SchattenContext(3, 2)
+    rng = np.random.default_rng(21)
+    a = schatten.random_selfadjoint(3, rng, 1.0)
+    seq = [a, a + schatten.random_selfadjoint(3, rng, 0.5)]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: calls.append("eigh") or eigh(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append("eigvalsh"))
+    report = ll.exp_p_continuity(a, seq, ctx)
+    assert calls == ["eigh"] * 3
+    assert report.sup_operator_norm == max(
+        np.abs(eigh(m)[0]).max() for m in [a, *seq])
 
 
 def test_exp_continuity_perturbation_bounded_by_e():
