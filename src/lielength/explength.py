@@ -339,35 +339,22 @@ def _inverses(flats):
 
 def _refine_factors(factors, g, objective, budget, rng):
     """Derivative-free coordinate descent over the interior split points:
-    each sweep merges the first adjacent pair whose merge shortens the
-    objective, then re-splits each pair through a perturbed midpoint, keeping
-    the product fixed; fewer than two factors allow neither.  exps, the flat
-    exp(best[i]) as one array, is computed once per factor.
+    each sweep re-splits each adjacent pair through a perturbed midpoint,
+    keeping the product and the factor count fixed; fewer than two factors
+    allow none.  exps, the flat exp(best[i]) as one array, is computed once
+    per factor.
 
-    A sweep's merges are one ``mat_logs`` call and a pair's ``budget.trials``
-    trials one stack (``_resplits``), each judged in order: the first that
-    shortens the objective wins and keeps its round-trip exponentials, and
-    the generator is put back to just after the accepted trial's draw."""
+    A pair's ``budget.trials`` trials are one stack (``_resplits``), judged
+    in order: the first that shortens the objective wins and keeps its
+    round-trip exponentials, and the generator is put back to just after the
+    accepted trial's draw."""
     best, best_val = list(factors), objective(factors)
     if len(best) < 2:
         return best, best_val
     exps = np.stack([mat_exp(x).matrix.to_flat() for x in best])
     step = budget.init_step
     for _ in range(budget.iterations):
-        if len(best) < 2:
-            break
         improved = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = exps[:-1] @ exps[1:]
-        logs, back, verdicts = mat_logs(g.algebra, g.n, products, False)
-        for i in (j for j, v in enumerate(verdicts) if v is None):
-            merge = MatrixOverAlgebra.from_flat(g.algebra, g.n, logs[i])
-            candidate = best[:i] + [merge] + best[i + 2:]
-            val = objective(candidate)
-            if val < best_val - 1e-12:
-                best, best_val, improved = candidate, val, True
-                exps = np.concatenate([exps[:i], back[i:i + 1], exps[i + 2:]])
-                break
         for i in range(len(best) - 1):
             state = rng.bit_generator.state
             for t, x_new, y_new, round_trip in _resplits(

@@ -182,8 +182,18 @@ class PUnitary:
 
 
 def _exp_i(a, context):
-    """|a|_inf and e^{ia} for a self-adjoint a, from one eigh of a."""
-    lam, vecs = np.linalg.eigh(np.asarray(a, dtype=complex))
+    """|a|_inf and e^{ia} for a self-adjoint a, from one eigh of a.  A
+    non-finite or non-self-adjoint a is refused: eigh reads only the lower
+    triangle, so it would measure another operator."""
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("input has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.linalg.norm(a - a.conj().T)
+        size = np.linalg.norm(a)
+    if not asymmetry <= 1e-9 * (1 + size):
+        raise ValueError("input must be self-adjoint")
+    lam, vecs = np.linalg.eigh(a)
     return (float(np.max(np.abs(lam))),
             PUnitary(context, spectral(np.exp(1j * lam), vecs)))
 
@@ -214,13 +224,6 @@ def sandwich_check(a, context):
     fails by more than 1e-9.
     """
     a = np.asarray(a, dtype=complex)
-    if not np.isfinite(a).all():
-        raise ValueError("input has a non-finite entry")
-    with np.errstate(over="ignore", invalid="ignore"):
-        asymmetry = np.linalg.norm(a - a.conj().T)
-        size = np.linalg.norm(a)
-    if not asymmetry <= 1e-9 * (1 + size):
-        raise ValueError("input must be self-adjoint")
     top, u = _exp_i(a, context)
     if not top <= math.pi + 1e-12:
         raise ValueError("spectrum outside [-pi, pi]")

@@ -35,17 +35,6 @@ def sequential_refine(factors, g, objective, budget, rng):
     for _ in range(budget.iterations):
         improved = False
         for i in range(len(best) - 1):
-            try:
-                merged = explength._try_log(exps[i] @ exps[i + 1])
-            except (ll.SpectrumOnCutError, ll.NumericFailureError):
-                continue
-            candidate = best[:i] + [merged] + best[i + 2:]
-            val = objective(candidate)
-            if val < best_val - 1e-12:
-                best, best_val, improved = candidate, val, True
-                exps[i:i + 2] = [ll.mat_exp(merged).matrix]
-                break
-        for i in range(len(best) - 1):
             pair_product = exps[i] @ exps[i + 1]
             for _ in range(budget.trials):
                 direction = _sequential_direction(g.algebra, g.n, rng,
@@ -119,6 +108,7 @@ def test_stacked_trials_follow_the_trial_by_trial_search(kind, trials,
     assert got_val == ref_val
     assert [x.data.tobytes() for x in got] == [x.data.tobytes() for x in ref]
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert len(got) == len(factors)
 
 
 @pytest.mark.parametrize("alg, n", [
@@ -226,12 +216,12 @@ def test_a_failing_trial_after_the_accepted_one_raises_nothing(monkeypatch):
     x = ll.mat_log(g)
     _failing_step(monkeypatch, 1)
     budget = ll.EstimateBudget(iterations=1, trials=2)
-    # the sweep merges two of the three factors, then re-splits the pair
-    # left: its trial 0 is accepted, and trial 1 is never reached
+    # trial 0 of each of the two pairs is accepted, and trial 1 is never
+    # reached
     refined, _ = explength._refine_factors(
         [x.scaled(1 / 3)] * 3, g, _always_shorter(), budget,
         np.random.default_rng(0))
-    assert len(refined) == 2
+    assert len(refined) == 3
     assert explength.FactorizationCertificate.from_factors(
         refined, g).residual < 1e-10
 
@@ -256,11 +246,11 @@ def test_a_singular_slice_inverts_to_nan_alone():
         assert np.array_equal(out[t], np.linalg.inv(stack[t]))
 
 
-# -- merges as one checked stack -------------------------------------------------
+# -- redundant starts --------------------------------------------------------------
 
-def _merging_starts(kind, seed):
-    """(g, starts): an element exp X and two factorizations of it that merge
-    down to one factor, [2X, -X] and [X, X/2, -X/2]."""
+def _redundant_starts(kind, seed):
+    """(g, starts): an element exp X and two factorizations of it with
+    cancelling factors, [2X, -X] and [X, X/2, -X/2]."""
     g, factors = _case(kind, np.random.default_rng(seed))
     x = sum(factors[1:], factors[0])
     return g, [[x.scaled(2.0), -x], [x, x.scaled(0.5), x.scaled(-0.5)]]
@@ -272,8 +262,10 @@ def _merging_starts(kind, seed):
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_merge_down_to_one_factor_follows_the_trial_by_trial_search(
         kind, objective):
-    g, starts = _merging_starts(kind, 5)
-    lengths = []
+    """Starts whose factors merge down to one, [2X, -X] and
+    [X, X/2, -X/2], follow the trial-by-trial search; a sweep only
+    re-splits, so they keep their factor count."""
+    g, starts = _redundant_starts(kind, 5)
     for factors in starts:
         budget = ll.EstimateBudget(iterations=6, trials=3)
         rng_ref = np.random.default_rng(11)
@@ -286,18 +278,14 @@ def test_a_merge_down_to_one_factor_follows_the_trial_by_trial_search(
         assert [x.data.tobytes() for x in got] == [
             x.data.tobytes() for x in ref]
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-        lengths.append(len(got))
-    if objective is explength._sum_norms:
-        # [2X, -X] merges to one factor, [X, X/2, -X/2] at least once
-        assert lengths[0] == 1 and lengths[1] < 3
+        assert len(got) == len(factors)
 
 
 def test_the_sweep_takes_no_log_or_exp_of_its_own(monkeypatch):
-    """Merges and re-splits take their logs and exponentials from the
-    stacked calls alone: with ``mat_log`` and ``_try_log`` refusing every
-    call, the search keeps its bytes, and ``mat_exp`` runs once per starting
-    factor."""
-    g, starts = _merging_starts("scalar-complex GL", 3)
+    """Re-splits take their logs and exponentials from the stacked calls
+    alone: with ``mat_log`` and ``_try_log`` refusing every call, the search
+    keeps its bytes, and ``mat_exp`` runs once per starting factor."""
+    g, starts = _redundant_starts("scalar-complex GL", 3)
     budget = ll.EstimateBudget(iterations=6, trials=3)
     expected = [explength._refine_factors(f, g, explength._sum_norms, budget,
                                           np.random.default_rng(2))[0]

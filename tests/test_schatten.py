@@ -172,11 +172,26 @@ def test_non_finite_unitaries_and_selfadjoints_are_refused(entries):
         ll.PUnitary(ctx, entries)
     with pytest.raises(ValueError, match="input has a non-finite entry"):
         ll.sandwich_check(entries, ctx)
+    with pytest.raises(ValueError, match="input has a non-finite entry"):
+        ll.exp_p_continuity(entries, [], ctx)
     for p in (2.0, 3.0):
         for a in (entries, np.stack([np.eye(2), entries])):
             with pytest.raises(ValueError, match=re.escape(
                     f"p = {p:g}: the matrix has a non-finite entry")):
                 ll.p_norm(a, ll.SchattenContext(2, p))
+
+
+def test_every_e_i_a_refuses_an_operator_that_is_not_self_adjoint():
+    """eigh reads only the lower triangle, so [[0, 1], [0, 0]] would be
+    measured as 0; each caller of e^{ia} refuses it instead."""
+    ctx = ll.SchattenContext(2, 2)
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    callers = [lambda: ll.sandwich_check(a, ctx),
+               lambda: ll.exp_p_continuity(a, [0.01 * np.eye(2)], ctx),
+               lambda: schatten.PUnitary.from_selfadjoint(a, ctx)]
+    for call in callers:
+        with pytest.raises(ValueError, match="input must be self-adjoint"):
+            call()
 
 
 def test_a_residual_past_the_float_range_is_not_unitary():
