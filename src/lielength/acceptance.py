@@ -384,7 +384,8 @@ def criterion_10_hs_determinant():
         for _ in range(int(rng.integers(1, 6))):
             i, j = rng.permutation(3)[:2] + 1
             payload = algebra.AlgebraElement(alg, alg.random_value(rng))
-            word.append(elementary.gen_E(int(i), int(j), payload, 3))
+            word.append(elementary.ElementaryGenerator("E", 3, payload,
+                                                       int(i), int(j)))
         cert = elementary.word_certificate(word)
         value = elementary.hs_determinant(cert)
         worst_word = max(worst_word, float(np.max(np.abs(value.raw))))

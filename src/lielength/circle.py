@@ -127,8 +127,8 @@ class RealLift:
 def _tree_lift(f):
     """Propagate nearest increments along the spanning forest, then read off
     the cycle windings.  Root value is the root's phase in [0, 1).  Returns
-    (lift, windings) where windings maps each non-tree edge to the integer
-    winding of its fundamental cycle."""
+    (lift, windings) where windings holds the integer winding of the
+    fundamental cycle of each row of ``graph.nontree``."""
     graph, phase = f.space.graph, f.phase
     tails, heads = graph.tree.T
     steps = nearest_increment(phase[tails], phase[heads])
@@ -145,8 +145,7 @@ def _tree_lift(f):
         u, v = graph.nontree[off.argmax()].tolist()
         raise ArithmeticError(
             f"winding of cycle through edge ({u},{v}) is not an integer")
-    return lift, dict(zip(map(tuple, graph.nontree.tolist()),
-                          k.astype(int).tolist()))
+    return lift, k.astype(int)
 
 
 def identity_component_check(f):
@@ -156,7 +155,8 @@ def identity_component_check(f):
     integer winding of its fundamental cycle.
     """
     _, windings = _tree_lift(f)
-    return all(k == 0 for k in windings.values()), windings
+    edges = map(tuple, f.space.graph.nontree.tolist())
+    return not windings.any(), dict(zip(edges, windings.tolist()))
 
 
 def unwrap(f):
@@ -166,8 +166,10 @@ def unwrap(f):
     raised earlier at construction of the input.
     """
     lift, windings = _tree_lift(f)
-    bad = {e: k for e, k in windings.items() if k != 0}
-    if bad:
+    if windings.any():
+        wound = windings != 0
+        edges = map(tuple, f.space.graph.nontree[wound].tolist())
+        bad = dict(zip(edges, windings[wound].tolist()))
         raise WindingError(f"nonzero cycle windings {bad}: "
                            "not in the identity component")
     return RealLift(lift, f)

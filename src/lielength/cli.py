@@ -243,7 +243,8 @@ def _en_hsdet(args):
         for _ in range(4):
             i, j = rng.permutation(3)[:2] + 1
             payload = algebra.AlgebraElement(alg, alg.random_value(rng))
-            word.append(elementary.gen_E(int(i), int(j), payload, 3))
+            word.append(elementary.ElementaryGenerator("E", 3, payload,
+                                                       int(i), int(j)))
     cert = elementary.word_certificate(word)
     value = elementary.hs_determinant(cert)
     doc = {"command": "en hsdet", "seed": args.seed,

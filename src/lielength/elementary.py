@@ -19,7 +19,7 @@ algebras).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .algebra import (
     json_fields,
     scalar_complex,
 )
-from .explength import ElBracket, FactorizationCertificate
+from .explength import ElBracket, FactorizationCertificate, el_lower_bound
 
 GENERATOR_KINDS = ("E", "e", "f", "g")
 EMPTY_WORD = "the word is empty; give at least one generator"
@@ -80,8 +80,8 @@ class ElementaryGenerator:
             if self.i == self.j:
                 raise ValueError("off-diagonal kinds need i != j")
         if self.kind == "g":
-            trace = default_trace(self.payload.algebra)
-            if np.max(np.abs(trace(self.payload.value))) > 1e-8:
+            if np.max(np.abs(trace(self.payload.algebra,
+                                   self.payload.value))) > 1e-8:
                 raise ValueError(
                     "corner generator payload must have vanishing trace")
 
@@ -135,22 +135,6 @@ def word_from_json(doc):
     return word
 
 
-def gen_E(i, j, payload, n):
-    return ElementaryGenerator("E", n, payload, i, j)
-
-
-def gen_e(i, j, payload, n):
-    return ElementaryGenerator("e", n, payload, i, j)
-
-
-def gen_f(i, j, payload, n):
-    return ElementaryGenerator("f", n, payload, i, j)
-
-
-def gen_g(payload, n):
-    return ElementaryGenerator("g", n, payload)
-
-
 def elementary_product(word):
     """Product of group generators E(i, j, a), tagged as an element of the
     elementary group.  An empty word is refused with ``ValueError``: it
@@ -176,7 +160,7 @@ def word_certificate(word):
     """Factorization certificate for an elementary word: each E(i, j, a)
     contributes the nilpotent factor e(i, j, a), whose exponential it is."""
     target = elementary_product(word)
-    factors = [gen_e(g.i, g.j, g.payload, g.n).matrix() for g in word]
+    factors = [replace(g, kind="e").matrix() for g in word]
     return FactorizationCertificate.from_factors(factors, target)
 
 
@@ -194,16 +178,17 @@ def bracket_identities_check(a, b, n, i, j):
     """
     algebra = a.algebra
     one = AlgebraElement(algebra, algebra.unit_value())
-    lhs1 = gen_f(i, j, a, n).matrix()
-    rhs1 = commutator(gen_e(i, j, a, n).matrix(), gen_e(j, i, one, n).matrix())
-    res1 = (lhs1 - rhs1).op_norm()
+    rhs1 = commutator(ElementaryGenerator("e", n, a, i, j).matrix(),
+                      ElementaryGenerator("e", n, one, j, i).matrix())
+    res1 = (ElementaryGenerator("f", n, a, i, j).matrix() - rhs1).op_norm()
 
     ab = algebra.mul(a.value, b.value)
-    ba = algebra.mul(b.value, a.value)
-    lhs2 = gen_g(AlgebraElement(algebra, ab - ba), n).matrix()
-    rhs2 = commutator(gen_e(n, 1, a, n).matrix(), gen_e(1, n, b, n).matrix()) \
-        - gen_f(n, 1, AlgebraElement(algebra, ba), n).matrix()
-    res2 = (lhs2 - rhs2).op_norm()
+    ba = AlgebraElement(algebra, algebra.mul(b.value, a.value))
+    lhs2 = ElementaryGenerator("g", n, AlgebraElement(algebra, ab - ba.value))
+    rhs2 = commutator(ElementaryGenerator("e", n, a, n, 1).matrix(),
+                      ElementaryGenerator("e", n, b, 1, n).matrix())
+    rhs2 -= ElementaryGenerator("f", n, ba, n, 1).matrix()
+    res2 = (lhs2.matrix() - rhs2).op_norm()
     return res1, res2
 
 
@@ -211,32 +196,28 @@ def bracket_identities_check(a, b, n, i, j):
 # the tracial functional and the factorization invariant
 
 
-def default_trace(algebra):
-    """The tracial functional on an algebra, as a callable on raw values: the
-    scalar itself, the unnormalized matrix trace (det exp X = exp tr X), the
-    per-component mean on function algebras (returning a component vector)."""
+def trace(algebra, value):
+    """The tracial functional of an algebra on a raw value, as a component
+    vector: the scalar itself, the unnormalized matrix trace
+    (det exp X = exp tr X), the mean over each component of a function
+    algebra's graph."""
+    v = np.asarray(value, dtype=complex)
     if algebra.kind in (SCALAR_COMPLEX, SCALAR_REAL):
-        return lambda v: np.atleast_1d(np.asarray(v, dtype=complex))
+        return np.atleast_1d(v)
     if algebra.kind == MATRIX:
-        return lambda v: np.atleast_1d(np.trace(np.asarray(v, dtype=complex)))
-    comps = algebra.graph.labels
-    n_comp = int(comps.max()) + 1
-
-    def mean_per_component(v):
-        v = np.asarray(v, dtype=complex)
-        return np.array([v[comps == c].mean() for c in range(n_comp)])
-
-    return mean_per_component
+        return np.atleast_1d(np.trace(v))
+    labels = algebra.graph.labels
+    return np.array([v[labels == c].mean()
+                     for c in range(int(labels.max()) + 1)])
 
 
 def check_tracial(algebra, rng):
     """Verify tau(xy - yx) = 0 to 1e-10 on 20 random sampled pairs."""
-    trace = default_trace(algebra)
     worst = 0.0
     for _ in range(20):
         x, y = algebra.random_value(rng), algebra.random_value(rng)
         comm = algebra.mul(x, y) - algebra.mul(y, x)
-        worst = max(worst, float(np.max(np.abs(trace(comm)))))
+        worst = max(worst, float(np.max(np.abs(trace(algebra, comm)))))
     if worst > 1e-10:
         raise AssertionError(f"trace fails on commutators by {worst}")
     return worst
@@ -245,7 +226,7 @@ def check_tracial(algebra, rng):
 def trace_of_matrix(x):
     """tau_n(X) = tau(sum of the diagonal entries), tau the trace of X's
     algebra."""
-    return default_trace(x.algebra)(x.trace_sum().value)
+    return trace(x.algebra, x.trace_sum().value)
 
 
 @dataclass
@@ -269,9 +250,9 @@ def hs_determinant(cert):
     periods of the trace of its algebra.  Invariant of the target element:
     two factorizations differ by a period."""
     cert.check_invariants()
-    trace = default_trace(cert.target.algebra)
-    raw = sum((trace(x.trace_sum().value) for x in cert.factors),
-              np.zeros_like(trace(cert.target.algebra.zero_value())))
+    algebra = cert.target.algebra
+    raw = sum(map(trace_of_matrix, cert.factors),
+              np.zeros_like(trace(algebra, algebra.zero_value())))
     reduced, coeffs = reduce_mod_lattice(raw)
     return HSDeterminantValue(raw, reduced, coeffs)
 
@@ -354,15 +335,15 @@ def conjugation_contraction(lam, a, slot):
         raise ValueError(f"slot must be one of {CONTRACTION_SLOTS}")
     algebra = a.algebra
     i, j = slot
-    target = gen_E(i, j, a, 3).matrix()
+    target = ElementaryGenerator("E", 3, a, i, j).matrix()
     torus = _torus_element(algebra, lam, slot)
     inverse_torus = _torus_element(algebra, 1.0 / lam, slot)
     if slot in ((1, 3), (2, 3)):
         conj = torus @ target @ inverse_torus
     else:
         conj = inverse_torus @ target @ torus
-    expected = gen_E(i, j, AlgebraElement(algebra, (lam ** 2) * a.value),
-                     3).matrix()
+    expected = ElementaryGenerator(
+        "E", 3, AlgebraElement(algebra, (lam ** 2) * a.value), i, j).matrix()
     identity_residual = (conj - expected).op_norm()
     if identity_residual > 1e-9 * (1 + conj.op_norm()):
         raise AssertionError("conjugation identity failed numerically")
@@ -371,14 +352,13 @@ def conjugation_contraction(lam, a, slot):
 
 
 def unboundedness_witness(m, algebra=None):
-    """Length bracket for E_{1,2}(m 1): lower bound log(m + 1) from the
-    operator norm, upper bound m from the one-factor nilpotent certificate.
-    Both grow without bound in m."""
+    """Length bracket for E_{1,2}(m 1): lower bound ``el_lower_bound``,
+    log(m + 1), since g and its inverse have the same norm; upper bound m
+    from the one-factor nilpotent certificate.  Both grow without bound in
+    m."""
     if m < 1:
         raise ValueError("m must be >= 1")
     algebra = algebra or scalar_complex()
     payload = AlgebraElement(algebra, m * algebra.unit_value())
-    word = [gen_E(1, 2, payload, 2)]
-    cert = word_certificate(word)
-    lower = math.log(cert.target.matrix.op_norm())
-    return ElBracket(lower, cert.sum_of_norms, cert)
+    cert = word_certificate([ElementaryGenerator("E", 2, payload, 1, 2)])
+    return ElBracket(el_lower_bound(cert.target), cert.sum_of_norms, cert)

@@ -202,10 +202,6 @@ def admissible_residual(target_norm):
     return EstimateBudget.residual_tol * (1.0 + target_norm)
 
 
-def _try_log(matrix, tag="GL"):
-    return mat_log(GroupElement(matrix, tag, validate=False))
-
-
 def _rotated_log_certificate(g):
     """Single-factor certificate through a rotated branch: with the cut ray
     turned into the largest gap of the spectrum's arguments,
@@ -222,7 +218,7 @@ def _rotated_log_certificate(g):
         raise SpectrumOnCutError("spectrum arguments leave no branch gap")
     alpha = args[widest] + gaps[widest] / 2.0 - math.pi  # mid-gap cut
     rotated = g.matrix.scaled(np.exp(-1j * alpha))
-    log = _try_log(rotated)
+    log = mat_log(GroupElement(rotated, "GL", validate=False))
     phase = MatrixOverAlgebra.identity(g.algebra, g.n).scaled(1j * alpha)
     return [log + phase]
 
@@ -235,7 +231,8 @@ def _polar_certificate(g):
     p_flat = spectral(s, vh.conj().swapaxes(-1, -2))
     w = MatrixOverAlgebra.from_flat(g.algebra, g.n, u @ vh)
     p = MatrixOverAlgebra.from_flat(g.algebra, g.n, p_flat)
-    return [_try_log(w, "U"), _try_log(p, "GL")]
+    return [mat_log(GroupElement(w, "U", validate=False)),
+            mat_log(GroupElement(p, "GL", validate=False))]
 
 
 def _initial_certificates(g, initial_factors):
@@ -267,7 +264,8 @@ def _initial_certificates(g, initial_factors):
         points = (ident.scaled(1.0 - j / k) + g.matrix.scaled(j / k)
                   for j in range(k + 1))
         try:
-            pool.append([_try_log(a.inverse() @ b)
+            pool.append([mat_log(GroupElement(a.inverse() @ b, "GL",
+                                              validate=False))
                          for a, b in itertools.pairwise(points)])
             break
         except (SpectrumOnCutError, NumericFailureError, np.linalg.LinAlgError):

@@ -182,10 +182,13 @@ class PUnitary:
 
 
 def _exp_i(a, context):
-    """|a|_inf and e^{ia} for a self-adjoint a, from one eigh of a.  A
-    non-finite or non-self-adjoint a is refused: eigh reads only the lower
-    triangle, so it would measure another operator."""
+    """|a|_inf and e^{ia} for a self-adjoint a, from one eigh of a.  An a
+    of the wrong shape, non-finite or non-self-adjoint is refused: eigh reads
+    only the lower triangle, so it would measure another operator."""
     a = np.asarray(a, dtype=complex)
+    if a.shape != (context.dim, context.dim):
+        raise ValueError(f"input shape {a.shape} does not match context "
+                         f"dimension {context.dim}")
     if not np.isfinite(a).all():
         raise ValueError("input has a non-finite entry")
     with np.errstate(over="ignore", invalid="ignore"):

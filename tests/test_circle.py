@@ -1,6 +1,7 @@
 """Phase unwrapping, winding detection, quotient norms, and circle lengths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def test_constant_function_identity_component():
     f = ll.CircleFunction(cycle_graph(5), np.full(5, 0.37))
     ok, windings = ll.identity_component_check(f)
     assert ok and all(k == 0 for k in windings.values())
+
+
+def test_windings_name_every_cycle_and_the_error_only_the_wound_ones():
+    """Three 4-rings, BFS from their first vertex, so each ring's non-tree
+    edge is (b + 2, b + 3): the phases k/4 wind once, the constant ring not
+    at all, and the phases -k/4 wind -1."""
+    edges = [e for b in (0, 4, 8)
+             for e in ((b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b + 3, b))]
+    phases = [0, 0.25, 0.5, 0.75] + [0.3] * 4 + [0, 0.75, 0.5, 0.25]
+    f = ll.CircleFunction(ll.function_algebra(12, edges), phases)
+    ok, windings = ll.identity_component_check(f)
+    assert not ok
+    assert windings == {(2, 3): 1, (6, 7): 0, (10, 11): -1}
+    assert all(type(k) is int for k in windings.values())
+    message = ("nonzero cycle windings {(2, 3): 1, (10, 11): -1}: "
+               "not in the identity component")
+    with pytest.raises(ll.WindingError, match=f"^{re.escape(message)}$"):
+        ll.unwrap(f)
 
 
 # -- quotient norm and cel -----------------------------------------------------
@@ -250,7 +269,7 @@ def test_one_traversal_serves_every_reader_of_a_space(monkeypatch):
     f = ll.CircleFunction(space, [0.1, 0.2, 0.7, 0.9])
     assert ll.cel(f) == pytest.approx(2 * math.pi * 0.3, abs=1e-12)
     assert ll.unwrap(f).base.space is space
-    trace = elementary.default_trace(space)(np.array([1.0, 3.0, 2.0, 4.0]))
+    trace = elementary.trace(space, np.array([1.0, 3.0, 2.0, 4.0]))
     assert trace.tolist() == [2.0, 3.0]
     x = ll.MatrixOverAlgebra.random(space, 2, np.random.default_rng(0),
                                     scale=0.3)

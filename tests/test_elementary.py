@@ -8,7 +8,7 @@ import pytest
 
 import lielength as ll
 from lielength import elementary
-from lielength.elementary import gen_E, gen_e, gen_f, gen_g
+from lielength.elementary import ElementaryGenerator
 
 ALGEBRAS = (
     ll.scalar_complex(),
@@ -29,10 +29,11 @@ def elem(alg, value=None, rng=None):
 def test_elementary_product_same_slot_adds():
     alg = ll.scalar_complex()
     a, b = 1.5 + 0.5j, -0.25 + 1j
-    word = [gen_E(1, 2, ll.AlgebraElement(alg, a), 2),
-            gen_E(1, 2, ll.AlgebraElement(alg, b), 2)]
+    word = [ElementaryGenerator("E", 2, ll.AlgebraElement(alg, a), 1, 2),
+            ElementaryGenerator("E", 2, ll.AlgebraElement(alg, b), 1, 2)]
     g = ll.elementary_product(word)
-    expected = gen_E(1, 2, ll.AlgebraElement(alg, a + b), 2).matrix()
+    expected = ElementaryGenerator("E", 2, ll.AlgebraElement(alg, a + b), 1,
+                                   2).matrix()
     assert (g.matrix - expected).op_norm() <= 1e-12
     assert g.group_tag == "En"
 
@@ -40,8 +41,8 @@ def test_elementary_product_same_slot_adds():
 def test_elementary_product_dense_fixture():
     alg = ll.scalar_complex()
     a, b = 2.0 + 0j, -1.0 + 1j
-    word = [gen_E(1, 2, ll.AlgebraElement(alg, a), 2),
-            gen_E(2, 1, ll.AlgebraElement(alg, b), 2)]
+    word = [ElementaryGenerator("E", 2, ll.AlgebraElement(alg, a), 1, 2),
+            ElementaryGenerator("E", 2, ll.AlgebraElement(alg, b), 2, 1)]
     g = ll.elementary_product(word)
     expected = np.array([[1 + a * b, a], [b, 1]], dtype=complex)
     assert np.allclose(g.matrix.data, expected, atol=1e-12)
@@ -60,7 +61,8 @@ def test_elementary_product_refuses_the_empty_word():
 def test_elementary_product_rejects_lie_kinds():
     alg = ll.scalar_complex()
     with pytest.raises(ValueError):
-        ll.elementary_product([gen_e(1, 2, ll.AlgebraElement(alg, 1.0), 2)])
+        ll.elementary_product(
+            [ElementaryGenerator("e", 2, ll.AlgebraElement(alg, 1.0), 1, 2)])
 
 
 # -- bracket identities ----------------------------------------------------------
@@ -68,7 +70,7 @@ def test_elementary_product_rejects_lie_kinds():
 def test_bracket_identity_unit_payload():
     alg = ll.scalar_complex()
     one = ll.AlgebraElement(alg, 1.0 + 0j)
-    lhs = gen_f(1, 2, one, 2).matrix()
+    lhs = ElementaryGenerator("f", 2, one, 1, 2).matrix()
     assert np.allclose(lhs.data, np.diag([1.0 + 0j, -1.0 + 0j]))
     r1, r2 = ll.bracket_identities_check(one, one, 2, 1, 2)
     assert r1 == 0.0 and r2 == 0.0
@@ -184,7 +186,8 @@ def test_hs_determinant_vanishes_on_elementary_words():
         word = []
         for _ in range(int(rng.integers(1, 5))):
             i, j = rng.permutation(3)[:2] + 1
-            word.append(gen_E(int(i), int(j), elem(alg, rng=rng), 3))
+            word.append(ElementaryGenerator("E", 3, elem(alg, rng=rng),
+                                            int(i), int(j)))
         cert = elementary.word_certificate(word)
         value = ll.hs_determinant(cert)
         assert np.max(np.abs(value.raw)) <= 1e-12
@@ -216,7 +219,7 @@ def test_contraction_lambda_one_is_identity_conjugation():
     alg = ll.scalar_complex()
     a = elem(alg, 1.5 + 0.5j)
     g, dist = ll.conjugation_contraction(1.0, a, (1, 3))
-    expected = gen_E(1, 3, a, 3).matrix()
+    expected = ElementaryGenerator("E", 3, a, 1, 3).matrix()
     assert (g.matrix - expected).op_norm() <= 1e-12
     assert dist == pytest.approx(abs(1.5 + 0.5j), abs=1e-12)
 
@@ -274,13 +277,13 @@ def test_witness_over_function_algebra():
 def test_corner_generator_requires_vanishing_trace():
     alg = ll.scalar_complex()
     with pytest.raises(ValueError, match="vanishing trace"):
-        gen_g(ll.AlgebraElement(alg, 1.0 + 0j), 3)
+        ElementaryGenerator("g", 3, ll.AlgebraElement(alg, 1.0 + 0j))
     # matrix-algebra commutators are admissible corner payloads
     algm = ll.matrix_algebra(2)
     rng = np.random.default_rng(6)
     x, y = algm.random_value(rng), algm.random_value(rng)
     payload = ll.AlgebraElement(algm, x @ y - y @ x)
-    gen_g(payload, 3)
+    ElementaryGenerator("g", 3, payload)
 
 
 def test_hs_determinant_of_empty_factorization_is_zero():

@@ -43,9 +43,10 @@ def sequential_refine(factors, g, objective, budget, rng):
                     continue
                 mid = exps[i] @ ll.mat_exp(direction.scaled(step)).matrix
                 try:
-                    x_new = explength._try_log(mid, tag)
-                    y_new = explength._try_log(mid.inverse() @ pair_product,
-                                               tag)
+                    x_new = ll.mat_log(ll.GroupElement(mid, tag,
+                                                       validate=False))
+                    y_new = ll.mat_log(ll.GroupElement(
+                        mid.inverse() @ pair_product, tag, validate=False))
                 except (ll.SpectrumOnCutError, ll.NumericFailureError):
                     continue
                 candidate = best[:i] + [x_new, y_new] + best[i + 2:]
@@ -283,8 +284,8 @@ def test_a_merge_down_to_one_factor_follows_the_trial_by_trial_search(
 
 def test_the_sweep_takes_no_log_or_exp_of_its_own(monkeypatch):
     """Re-splits take their logs and exponentials from the stacked calls
-    alone: with ``mat_log`` and ``_try_log`` refusing every call, the search
-    keeps its bytes, and ``mat_exp`` runs once per starting factor."""
+    alone: with ``mat_log`` refusing every call, the search keeps its bytes,
+    and ``mat_exp`` runs once per starting factor."""
     g, starts = _redundant_starts("scalar-complex GL", 3)
     budget = ll.EstimateBudget(iterations=6, trials=3)
     expected = [explength._refine_factors(f, g, explength._sum_norms, budget,
@@ -295,7 +296,6 @@ def test_the_sweep_takes_no_log_or_exp_of_its_own(monkeypatch):
         raise ll.NumericFailureError("no single log in the sweep")
 
     monkeypatch.setattr(explength, "mat_log", refuse)
-    monkeypatch.setattr(explength, "_try_log", refuse)
     exp_calls = []
     monkeypatch.setattr(explength, "mat_exp",
                         lambda x: exp_calls.append(x) or ll.mat_exp(x))

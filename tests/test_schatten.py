@@ -194,6 +194,26 @@ def test_every_e_i_a_refuses_an_operator_that_is_not_self_adjoint():
             call()
 
 
+@pytest.mark.parametrize("shape, message", [
+    ((2, 3), re.escape("input shape (2, 3) does not match context "
+                       "dimension 2")),
+    ((2,), re.escape("input shape (2,) does not match context dimension 2")),
+    ((3, 3), "does not match context dimension")], ids=["2x3", "1-d", "3x3"])
+def test_every_e_i_a_refuses_an_operator_of_the_wrong_shape(shape, message):
+    """An operator that is not dim x dim is refused with a ValueError naming
+    its shape, not with numpy's broadcast or 1-D error, by each caller of
+    e^{ia}: as the operator and as an element of the sequence."""
+    ctx = ll.SchattenContext(2, 2)
+    a = np.ones(shape)
+    callers = [lambda: ll.sandwich_check(a, ctx),
+               lambda: ll.exp_p_continuity(a, [np.eye(2)], ctx),
+               lambda: ll.exp_p_continuity(np.eye(2), [a], ctx),
+               lambda: schatten.PUnitary.from_selfadjoint(a, ctx)]
+    for call in callers:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_a_residual_past_the_float_range_is_not_unitary():
     with pytest.raises(ValueError, match="not unitary within 1e-9"):
         ll.PUnitary(ll.SchattenContext(2, 2), 1e200 * np.eye(2))
