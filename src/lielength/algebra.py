@@ -34,7 +34,7 @@ SCALAR_REAL = "scalar-real"
 MATRIX = "matrix"
 FUNCTIONS = "functions-on-graph"
 
-GROUP_TAGS = ("GL", "SL", "En", "U", "Up")
+GROUP_TAGS = ("GL", "SL", "En", "U")
 
 
 class SpectrumOnCutError(ValueError):
@@ -434,7 +434,7 @@ def norm_description(algebra):
 @dataclass(frozen=True)
 class GroupElement:
     """An invertible matrix over a Banach algebra, tagged with its ambient
-    group (GL, SL, En, U, Up).  Invariants are checked to ``DEFAULT_TOL``."""
+    group (GL, SL, En, U).  Invariants are checked to ``DEFAULT_TOL``."""
 
     matrix: MatrixOverAlgebra
     group_tag: str = "GL"
@@ -446,10 +446,13 @@ class GroupElement:
         if self.validate:
             self.check_invariants()
 
-    def check_invariants(self):
-        g = self.matrix
-        if not np.all(np.isfinite(g.data)):
+    def check_finite(self):
+        if not np.all(np.isfinite(self.matrix.data)):
             raise ValueError("entries must be finite")
+
+    def check_invariants(self):
+        self.check_finite()
+        g = self.matrix
         with np.errstate(over="ignore", invalid="ignore"):
             res = (g @ g.inverse()) - MatrixOverAlgebra.identity(g.algebra, g.n)
         # written as not (x <= tol) so that a NaN from overflow fails them;
@@ -463,7 +466,7 @@ class GroupElement:
             dev = g.det().value - g.algebra.unit_value()
             if not (g.algebra.norm(dev) <= DEFAULT_TOL):
                 raise ValueError("SL tag but determinant differs from the unit")
-        if self.group_tag in ("U", "Up") and not self.is_unitary():
+        if self.group_tag == "U" and not self.is_unitary():
             raise ValueError("U tag but g*g differs from the identity")
 
     @property
@@ -641,8 +644,9 @@ def _general_logs(stack, per):
 def _principal_logs(stack, unitary):
     """Principal logs of a stack of elements, each a stack of plain square
     matrices: shape (m, S, N, N).  Returns the logs and, per element, None,
-    or the error that refuses its first refused slice; a refused element
-    takes no log (its entries are left at 0).
+    or the error that refuses it: "non-finite input" for an element with a
+    NaN or infinite entry, else that of its first refused slice.  A refused
+    element takes no log (its entries are left at 0).
 
     Elements where ``unitary`` (a bool per element) holds take the branch
     of ``unitary_spectrum``.  The others are refused when 0 is in the
@@ -650,6 +654,9 @@ def _principal_logs(stack, unitary):
     axis.
     """
     count, per = stack.shape[:2]
+    finite = np.isfinite(stack).reshape(count, -1).all(axis=-1)
+    if not finite.all():
+        stack = np.where(_each(finite, stack), stack, np.eye(stack.shape[-1]))
     slices = stack.reshape((-1,) + stack.shape[-2:])
     if all(unitary) or not any(unitary):
         branch = _unitary_logs if unitary[0] else _general_logs
@@ -667,7 +674,8 @@ def _principal_logs(stack, unitary):
         for i in np.flatnonzero(~np.isfinite(logs).all(axis=(-2, -1))):
             reasons.setdefault(i, NumericFailureError(
                 "matrix logarithm did not converge"))
-    verdicts = [None] * count
+    verdicts = [None if ok else NumericFailureError("non-finite input")
+                for ok in finite.tolist()]
     for i in sorted(reasons):
         if verdicts[i // per] is None:
             verdicts[i // per] = reasons[i]
@@ -684,7 +692,7 @@ def mat_log(g):
     function algebra, the first refused vertex names the reason.
     """
     mat = g.matrix
-    unitary = g.group_tag in ("U", "Up") or g.is_unitary()
+    unitary = g.group_tag == "U" or g.is_unitary()
     flat = mat.to_flat()
     logs, (refused,) = _principal_logs(
         flat.reshape((1, -1) + flat.shape[-2:]), [unitary])
@@ -747,23 +755,16 @@ def mat_exps(algebra, n, flats):
 def mat_logs(algebra, n, flats, unitary):
     """``mat_log`` of each element of a stack given in flat form, shape
     (m,) + the ``stack_to_flat`` shape, element by element: every check of
-    ``mat_log`` at its tolerances, and a refusal of non-finite input.
+    ``mat_log`` at its tolerances, the refusal of non-finite input included.
 
-    ``unitary`` says every element is tagged U or Up; otherwise each one is
+    ``unitary`` says every element is tagged U; otherwise each one is
     tested as ``GroupElement.is_unitary`` tests it.  Returns (logs, exps,
     verdicts): the logs and their round-trip exponentials in flat form, and
     per element None when its log is admitted, or else the error of its
     first failed check.  Entries of a refused element mean nothing.
     """
     count = len(flats)
-    verdicts = [None] * count
     ident = MatrixOverAlgebra.identity(algebra, n)
-    finite = np.isfinite(flats).reshape(count, -1).all(axis=-1)
-    if not finite.all():
-        _refuse(verdicts, ~finite,
-                lambda t: NumericFailureError("non-finite input"))
-        flats = np.where(_each(finite, flats), flats, ident.to_flat())
-    data = stack_from_flat(algebra, n, flats)
     if unitary:
         unit = np.ones(count, dtype=bool)
     else:
@@ -773,11 +774,16 @@ def mat_logs(algebra, n, flats, unitary):
             unit = np.isfinite(res).reshape(count, -1).all(axis=-1)
             res = np.where(_each(unit, res), res, 0.0)
             unit &= op_norms(algebra.norm(res)) <= DEFAULT_TOL
-    logs, log_verdicts = _principal_logs(
+    logs, verdicts = _principal_logs(
         flats.reshape((count, -1) + flats.shape[-2:]), unit)
-    verdicts = [v if v is not None else e
-                for v, e in zip(verdicts, log_verdicts)]
     logs = logs.reshape(flats.shape)
+    # A refused element's round trip is never read, but the matrix-kind
+    # norm of a NaN fails in svd: a non-finite element is measured as the
+    # identity.
+    finite = np.isfinite(flats).reshape(count, -1).all(axis=-1)
+    if not finite.all():
+        flats = np.where(_each(finite, flats), flats, ident.to_flat())
+    data = stack_from_flat(algebra, n, flats)
     if algebra.kind == SCALAR_REAL:
         imag = np.abs(logs.imag).reshape(count, -1).max(axis=-1)
         _refuse(verdicts, imag > 1e-9,

@@ -140,8 +140,8 @@ def _cmd_cel(args):
            "identity_component": ok,
            "windings": {f"{u}-{v}": k for (u, v), k in windings.items()}}
     if ok:
-        doc["quotient_norm"] = circle.quotient_norm(f)
-        doc["cel"] = circle.cel(f)
+        q = doc["quotient_norm"] = circle.quotient_norm(f)
+        doc["cel"] = 2.0 * math.pi * q
         print(f"cel = {doc['cel']:.12g}")
     else:
         print("not in the identity component; no finite length")

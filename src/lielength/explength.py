@@ -131,7 +131,9 @@ class ElBracket:
 def el_lower_bound(g):
     """max(0, log|g|, log|g^{-1}|): every factorization of g satisfies
     sum |X_i| >= log |prod exp(X_i)|, and the reversed-negated factorization
-    of g^{-1} has the same sum."""
+    of g^{-1} has the same sum.  An element with a non-finite entry is
+    refused."""
+    g.check_finite()
     best = 0.0
     for h in (g, g.inverse()):
         norm = h.matrix.op_norm()
@@ -286,7 +288,7 @@ def _initial_certificates(g, initial_factors):
 def _resplits(g, left, pair, step, count, rng):
     """The re-split trials of a pair of factors of g, given as left = exp X
     and pair = exp X exp Y in flat form, as one stack.  Trial t draws a
-    direction D, skew-adjoint when g is tagged U or Up, and splits the pair
+    direction D, skew-adjoint when g is tagged U, and splits the pair
     at mid = left exp(step D/|D|) into X' = log(mid) and Y' = log(mid^-1
     pair): one expm, one inverse and one ``mat_logs`` call for all trials.
 
@@ -294,7 +296,7 @@ def _resplits(g, left, pair, step, count, rng):
     each trial whose two logs are admitted.  A zero direction and a refused
     log skip the trial; a failed exp(step D/|D|) raises when the search
     reaches that trial, as it does on a trial-by-trial evaluation."""
-    algebra, n, unitary = g.algebra, g.n, g.group_tag in ("U", "Up")
+    algebra, n, unitary = g.algebra, g.n, g.group_tag == "U"
     directions = random_stack(algebra, n, count, rng)
     if unitary:
         adjoint = stack_from_flat(algebra, n, np.swapaxes(
@@ -411,8 +413,10 @@ def _element_work(g, initial_factors):
     when g has its value: the key is the algebra, n, the group tag, the
     dtype and the entry bytes, so writing through the caller's array is a
     miss.  An element whose pool raises ``NoFactorizationError`` is not
-    kept, so it raises on every call."""
+    kept, so it raises on every call, and one with a non-finite entry is
+    refused before any log."""
     global _last_element
+    g.check_finite()
     if initial_factors is not None:
         return _initial_certificates(g, initial_factors), {}
     data = g.matrix.data

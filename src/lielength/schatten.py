@@ -61,72 +61,54 @@ class SchattenContext:
 
 
 def p_norm(a, context):
-    """Weighted Schatten p-norm via the singular spectrum: with |a| = V S V*,
-    |a|_p^p = sum_j (sum_i w_i |V_ij|^2) s_j^p, which at p = 2 is the
-    weighted trace tau(a* a).
+    """Weighted Schatten p-norm: with |a| = V S V*, |a|_p^p = sum_j c_j s_j^p
+    for c_j = sum_i w_i |V_ij|^2.  At p = 2 it is the trace tau(a* a) =
+    sum_i w_i sum_k |a_ki|^2, with no eigendecomposition.  Every other norm,
+    and a 2-norm whose trace is lost to the float range, is
+    t s_max (sum_j c_j (s_j / s_max)^p)^(1/p) with s taken on a / t, for t
+    the largest real or imaginary part of an entry: neither a* a nor the sum
+    can leave the float range.
 
     ``a`` is one matrix, whose norm is returned as a float, or a stack of
     matrices along the leading axes, whose norms are returned as an array of
     the stack's shape, each equal to the norm of its matrix alone.  A matrix
-    with a non-finite entry, or whose ``a* a`` is not finite, is refused with
-    a ``ValueError``.
+    with a non-finite entry is refused with a ``ValueError``.
     """
     a = np.asarray(a, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums, squares, _ = _power_sums(a, context, relative=False)
     root = 1.0 / context.p
-    # Only the zero matrix has the power sum 0: any other 0, inf or NaN is
-    # the sum lost to the float range.  The cheap test on floats goes first.
-    flat = sums.ravel().tolist()
-    in_range = min(flat) > 0.0 and sum(flat) < math.inf
-    if in_range and sums.ndim == 0:
-        return float(sums ** root)
-    # The root is taken on each float64 scalar: the array power may round
-    # differently in the last bit.
-    norms = np.array([t ** root for t in sums.ravel()]).reshape(sums.shape)
-    if not in_range:
-        if not np.isfinite(a).all():
+    if context.p == 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (context.weights
+                    * (a * a.conj()).real.sum(axis=-2)).sum(axis=-1)
+        # Only the zero matrix has the trace 0: any other 0, inf or NaN is
+        # lost to the float range.  The cheap test on floats goes first.
+        flat = sums.ravel().tolist()
+        in_range = min(flat, default=0.0) > 0.0 and sum(flat) < math.inf
+        if in_range and sums.ndim == 0:
+            return float(sums ** root)
+        # The root is taken on each float64 scalar: the array power may
+        # round differently in the last bit.
+        norms = np.array([t ** root for t in sums.ravel()]).reshape(sums.shape)
+        if in_range:
+            return norms
+        lost = ~np.isfinite(sums) | (sums == 0) & a.any(axis=(-2, -1))
+    else:
+        norms, lost = np.zeros(a.shape[:-2]), a.any(axis=(-2, -1))
+    if lost.any():
+        b = a[lost]
+        if not np.isfinite(b).all():
             raise ValueError(f"p = {context.p:g}: the matrix has a non-finite "
                              "entry")
-        if not np.isfinite(squares).all():
-            raise ValueError(f"p = {context.p:g}: a* a is not finite, so "
-                             "the singular values are lost to the float range")
-        # A lost norm is t (sum_j (...) (s_j / t)^p)^(1/p), with s taken on
-        # the matrix divided by its largest entry, so a* a cannot underflow;
-        # t is s_max, or 1 at p = 2, where the sum is a trace of at least
-        # the least weight.
-        lost = ~np.isfinite(sums) | (sums == 0) & a.any(axis=(-2, -1))
-        scale = np.abs(a[lost]).max(axis=(-2, -1))
-        ratios, _, top = _power_sums(a[lost] / scale[:, None, None], context,
-                                     relative=True)
-        norms[lost] = [c * m * t ** root for c, m, t in
-                       zip(scale.tolist(), top.tolist(), ratios)]
-    return float(norms) if sums.ndim == 0 else norms
-
-
-def _power_sums(a, context, *, relative):
-    """The weighted power sum sum_j c_j (s_j / t)^p of each matrix of a
-    stack, over its singular values s_j, with c_j = sum_i w_i |V_ij|^2 for
-    |a| = V S V*; returns the sums, the entries of a* a they are made of,
-    and t, which is 1 unless ``relative``, where it is the top s_j.
-
-    At p = 2 the sum is tau(a* a) = sum_i w_i sum_k |a_ki|^2, taken from the
-    entries with no eigendecomposition, since sum_j c_j s_j^2 is
-    sum_i w_i (a* a)_ii; the entries returned are that diagonal, and t is 1.
-    """
-    if context.p == 2:
-        diagonal = (a * a.conj()).real.sum(axis=-2)
-        top = np.ones(a.shape[:-2]) if relative else 1.0
-        return (context.weights * diagonal).sum(axis=-1), diagonal, top
-    gram = np.swapaxes(a.conj(), -2, -1) @ a
-    s2, vecs = np.linalg.eigh(gram)
-    s = np.sqrt(np.clip(s2, 0.0, None))
-    top = 1.0
-    if relative:
+        scale = np.maximum(abs(b.real), abs(b.imag)).max(axis=(-2, -1))
+        b = b / scale[:, None, None]
+        s2, vecs = np.linalg.eigh(np.swapaxes(b.conj(), -2, -1) @ b)
+        s = np.sqrt(np.clip(s2, 0.0, None))
         top = s.max(axis=-1)
-        s = s / top[..., None]
-    vertex_weights = context.weights @ (np.abs(vecs) ** 2)
-    return np.sum(vertex_weights * s ** context.p, axis=-1), gram, top
+        sums = np.sum(context.weights @ (np.abs(vecs) ** 2)
+                      * (s / top[:, None]) ** context.p, axis=-1)
+        norms[lost] = [t * m * r ** root for t, m, r in
+                       zip(scale.tolist(), top.tolist(), sums)]
+    return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +189,7 @@ def _selfadjoint(theta, z):
     return 0.5 * (a + a.conj().T)
 
 
-def random_selfadjoint(dim, rng, operator_norm=math.pi):
+def random_selfadjoint(dim, rng, operator_norm):
     """Random self-adjoint matrix rescaled to the requested operator norm."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = 0.5 * (m + m.conj().T)

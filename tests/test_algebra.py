@@ -158,6 +158,39 @@ def test_mat_log_refuses_a_spread_past_the_float_range():
         ll.mat_log(g)
 
 
+NON_FINITE_ELEMENTS = {
+    "nan-complex": (ll.scalar_complex(), [[math.nan, 0.0], [0.0, 1.0]]),
+    "inf-real": (ll.scalar_real(), [[math.inf, 0.0], [0.0, 1.0]])}
+
+
+@pytest.mark.parametrize("alg, entries", NON_FINITE_ELEMENTS.values(),
+                         ids=NON_FINITE_ELEMENTS)
+def test_mat_log_refuses_a_non_finite_element_by_name(alg, entries):
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.array(entries)), "GL",
+                        validate=False)
+    with pytest.raises(ll.NumericFailureError, match="^non-finite input$"):
+        ll.mat_log(g)
+
+
+@pytest.mark.parametrize("alg, entries", NON_FINITE_ELEMENTS.values(),
+                         ids=NON_FINITE_ELEMENTS)
+def test_mat_logs_refuses_a_non_finite_element_as_mat_log_does(alg, entries):
+    """The refusal is the one of ``mat_log``, and the finite element beside
+    it keeps its log, round trip and verdict."""
+    bad = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.array(entries)), "GL",
+                          validate=False)
+    good = ll.MatrixOverAlgebra(alg, np.diag([2.0, 3.0]))
+    logs, _, verdicts = algebra.mat_logs(
+        alg, 2, np.stack([bad.matrix.to_flat(), good.to_flat()]), False)
+    with pytest.raises(ll.NumericFailureError) as raised:
+        ll.mat_log(bad)
+    assert type(verdicts[0]) is type(raised.value)
+    assert str(verdicts[0]) == str(raised.value)
+    assert verdicts[1] is None
+    expected = ll.mat_log(ll.GroupElement(good, "GL")).to_flat()
+    assert np.array_equal(logs[1], expected)
+
+
 def test_mat_log_branch_at_minus_one():
     alg = ll.scalar_complex()
     u = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.array([[-1.0 + 0j]])), "U")

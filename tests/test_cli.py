@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lielength as ll
-from lielength import cli, explength
+from lielength import circle, cli, explength
 
 
 def run(argv):
@@ -78,6 +78,38 @@ def test_cel_compute_detects_winding(tmp_path, capsys):
     status = run(["cel", "compute", "--input", str(path)])
     assert status == 1
     assert "not in the identity component" in capsys.readouterr().out
+
+
+def test_cel_compute_lifts_the_function_at_most_twice(tmp_path, capsys,
+                                                      monkeypatch):
+    """The printed cel is 2 pi times the printed quotient norm, with no third
+    lift of the function."""
+    f = ll.CircleFunction(
+        ll.DiscretizedSpace(4, [(k, (k + 1) % 4) for k in range(4)]),
+        np.array([0.1, 0.2, 0.3, 0.35]))
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(f.to_json()))
+    lifts = []
+    tree_lift = circle._tree_lift
+    monkeypatch.setattr(circle, "_tree_lift",
+                        lambda g: lifts.append(g) or tree_lift(g))
+    out = tmp_path / "cel.json"
+    assert run(["cel", "compute", "--input", str(path), "--out", str(out)]) == 0
+    assert len(lifts) <= 2
+    doc = json.loads(out.read_text())
+    assert doc["cel"] == ll.cel(f) == 2.0 * math.pi * doc["quotient_norm"]
+
+
+def test_a_group_tag_up_exits_2(tmp_path, capsys):
+    """"Up" is no group tag: a p-unitary is a ``schatten.PUnitary``."""
+    path = tmp_path / "up.json"
+    path.write_text(json.dumps({
+        "algebra": {"kind": "scalar-complex"}, "n": 1,
+        "entries": [[[1.0, 0.0]]], "group_tag": "Up"}))
+    assert run(["el", "estimate", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lielength: error: unknown group tag 'Up'\n"
 
 
 def test_rel_command(tmp_path):

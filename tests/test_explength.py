@@ -154,6 +154,31 @@ def test_el_lower_bound_fixtures():
     assert ll.el_lower_bound(g) == pytest.approx(3.0, abs=1e-12)
 
 
+NON_FINITE_ELEMENTS = {
+    "nan-complex": (ll.scalar_complex(), [[math.nan, 0.0], [0.0, 1.0]]),
+    "inf-real": (ll.scalar_real(), [[math.inf, 0.0], [0.0, 1.0]])}
+
+
+@pytest.mark.parametrize("estimate", [
+    ll.el_lower_bound, ll.el_estimate, ll.rel_estimate])
+@pytest.mark.parametrize("alg, entries", NON_FINITE_ELEMENTS.values(),
+                         ids=NON_FINITE_ELEMENTS)
+def test_estimates_refuse_a_non_finite_element_before_any_log(
+        monkeypatch, alg, entries, estimate):
+    """An element built without validation is refused with the element's own
+    message, not a log's error or a lower bound of 0."""
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.array(entries)), "GL",
+                        validate=False)
+
+    def refused(*args):
+        raise AssertionError("a log was taken")
+
+    monkeypatch.setattr(explength, "mat_log", refused)
+    monkeypatch.setattr(explength, "mat_logs", refused)
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        estimate(g)
+
+
 # -- the estimator ---------------------------------------------------------------
 
 def test_estimate_single_factor_initialization():

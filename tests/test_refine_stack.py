@@ -27,7 +27,7 @@ def _sequential_direction(alg, n, rng, unitary):
 def sequential_refine(factors, g, objective, budget, rng):
     """The coordinate descent with its re-split trials taken one at a time,
     each through its own exp and two ``mat_log`` calls."""
-    tag = "U" if g.group_tag in ("U", "Up") else "GL"
+    tag = "U" if g.group_tag == "U" else "GL"
     best = list(factors)
     best_val = objective(best)
     exps = [ll.mat_exp(x).matrix for x in best]

@@ -30,21 +30,16 @@ def test_p_norm_weighted_diagonal():
 
 @pytest.mark.parametrize("p, scale, norm", [
     (1e308, 2.0, 2.0), (1e308, 0.5, 0.5), (2.0, 1e-200, math.sqrt(2) * 1e-200),
-    (2.0, 1e200, None)], ids=["over", "under", "tiny-matrix", "huge-matrix"])
+    (2.0, 1e200, math.sqrt(2) * 1e200)],
+    ids=["over", "under", "tiny-matrix", "huge-matrix"])
 def test_p_norm_refuses_a_power_sum_out_of_float_range(p, scale, norm):
-    """A sum of s^p that is inf, or 0 for a nonzero matrix, is taken again
-    relative to the top singular value, on the matrix scaled to its largest
-    entry, so at p = 1e308 the norm is the top singular value.  Only a
-    matrix whose a* a is not finite is refused, naming p, with no warning.
+    """A sum of s^p that is inf, or 0 for a nonzero matrix, is never
+    returned: the norm is taken relative to the top singular value, on the
+    matrix scaled to its largest entry, so at p = 1e308 it is the top
+    singular value, and a 2-norm whose trace overflows is still returned.
     In a stack, the other norms keep the bytes they have alone."""
     ctx = ll.SchattenContext(2, p)
     stack = np.stack([np.zeros((2, 2)), np.eye(2), scale * np.eye(2)])
-    if norm is None:
-        for a in (stack[2], stack):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"p = {p:g}: a* a is not finite")):
-                ll.p_norm(a, ctx)
-        return
     assert ll.p_norm(stack[2], ctx) == pytest.approx(norm, rel=1e-15)
     norms = ll.p_norm(stack, ctx)
     assert norms[:2].tolist() == [0.0, ll.p_norm(np.eye(2), ctx)]
@@ -66,12 +61,31 @@ def test_p_norm_of_zero_matrices_stays_zero_at_any_p():
         assert ll.p_norm(np.zeros((3, 2, 2)), ctx).tolist() == [0.0] * 3
 
 
+def test_p_norm_of_an_empty_stack_is_empty_at_any_p():
+    for p in (1.0, 2.0, 3.5):
+        norms = ll.p_norm(np.zeros((0, 3, 3)), ll.SchattenContext(3, p))
+        assert norms.shape == (0,)
+
+
 def test_p_norm_keeps_large_finite_powers():
     """At p = 400, 2^400 is about 2.6e120: still in range, so the norm is
     taken as before, 2^(1 + 1/400) for 2 I in dimension 2."""
     ctx = ll.SchattenContext(2, 400.0)
     assert ll.p_norm(2.0 * np.eye(2), ctx) == pytest.approx(
         2.0 ** (1 + 1 / 400), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_p_norm_takes_an_entry_whose_modulus_overflows(p):
+    """|1e308 (1 + i)| is past the float range, but under the weight 1e-10
+    the norm of [[1e308 (1 + i)]] is 1e-10^(1/p) sqrt(2) 1e308: the scale is
+    the largest real or imaginary part, so no finite matrix is refused."""
+    ctx = ll.SchattenContext(1, p, weights=np.array([1e-10]))
+    a = np.array([[1e308 + 1e308j]])
+    expected = 1e-10 ** (1 / p) * math.sqrt(2) * 1e308
+    assert ll.p_norm(a, ctx) == pytest.approx(expected, rel=1e-14)
+    assert ll.p_norm(np.stack([a, 0 * a]), ctx).tolist() == [
+        ll.p_norm(a, ctx), 0.0]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
