@@ -367,7 +367,6 @@ def criterion_10_hs_determinant():
     """Factorization invariance of the determinant-style invariant modulo
     the lattice, and vanishing on elementary words."""
     rng = np.random.default_rng(1010)
-    alg = algebra.scalar_complex()
     worst_invariance = 0.0
     for idx in range(100):
         g = random_gl(2, rng)
@@ -380,12 +379,7 @@ def criterion_10_hs_determinant():
         worst_invariance = max(worst_invariance, float(np.max(np.abs(diff))))
     worst_word = 0.0
     for idx in range(100):
-        word = []
-        for _ in range(int(rng.integers(1, 6))):
-            i, j = rng.permutation(3)[:2] + 1
-            payload = algebra.AlgebraElement(alg, alg.random_value(rng))
-            word.append(elementary.ElementaryGenerator("E", 3, payload,
-                                                       int(i), int(j)))
+        word = elementary.random_word(int(rng.integers(1, 6)), rng)
         cert = elementary.word_certificate(word)
         value = elementary.hs_determinant(cert)
         worst_word = max(worst_word, float(np.max(np.abs(value.raw))))

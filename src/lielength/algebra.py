@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -281,35 +281,30 @@ def op_norms(entry_norms):
     return entry_norms.sum(axis=-2).max(axis=-1)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class MatrixOverAlgebra:
     """An n-by-n matrix with entries in a Banach algebra.
 
     Data layout: scalar algebras store (n, n); the matrix(k) algebra stores
     (n, n, k, k); function algebras store (n, n, V).  Entry (i, j) is
     ``data[i, j]`` in all cases.  ``data`` is a read-only view: every
-    operation builds a new matrix, and no attribute can be rebound.
+    operation builds a new matrix.
     """
 
-    __slots__ = ("algebra", "data", "n")
+    algebra: BanachAlgebra
+    data: object
+    n: int = field(init=False)
 
-    def __init__(self, algebra, data):
-        data = read_only(data, algebra.dtype)
-        expected_ndim = 2 + len(algebra.value_shape())
+    def __post_init__(self):
+        data = read_only(self.data, self.algebra.dtype)
+        expected_ndim = 2 + len(self.algebra.value_shape())
         if data.ndim != expected_ndim or data.shape[0] != data.shape[1]:
             raise ValueError(f"bad matrix data shape {data.shape}")
-        if data.shape[2:] != algebra.value_shape():
+        if data.shape[2:] != self.algebra.value_shape():
             raise ValueError(
                 f"entry shape {data.shape[2:]} does not match algebra")
-        object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "n", data.shape[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: the matrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"cannot delete {name!r}: the matrix is immutable")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -643,10 +638,13 @@ def _general_logs(stack, per):
 
 def _principal_logs(stack, unitary):
     """Principal logs of a stack of elements, each a stack of plain square
-    matrices: shape (m, S, N, N).  Returns the logs and, per element, None,
-    or the error that refuses it: "non-finite input" for an element with a
-    NaN or infinite entry, else that of its first refused slice.  A refused
-    element takes no log (its entries are left at 0).
+    matrices: shape (m, S, N, N).  Returns the logs, the verdicts and the
+    stack with each non-finite element replaced by the identity.  A verdict
+    is None, or the error that refuses the element: "non-finite input" for
+    a NaN or infinite entry, else that of its first refused slice, else, on
+    a float64 stack, "no real logarithm" for a log with an imaginary part
+    above 1e-9.  A refused element takes no log (its entries are left at
+    0), and the logs of a float64 stack are real.
 
     Elements where ``unitary`` (a bool per element) holds take the branch
     of ``unitary_spectrum``.  The others are refused when 0 is in the
@@ -679,8 +677,15 @@ def _principal_logs(stack, unitary):
     for i in sorted(reasons):
         if verdicts[i // per] is None:
             verdicts[i // per] = reasons[i]
-            logs[i // per * per:(i // per + 1) * per] = 0.0
-    return logs.reshape(stack.shape), verdicts
+    logs = logs.reshape(stack.shape)
+    if stack.dtype == np.float64:
+        imag = np.abs(logs.imag).reshape(count, -1).max(axis=-1)
+        _refuse(verdicts, imag > 1e-9,
+                lambda t: SpectrumOnCutError(_NO_REAL_LOG))
+        logs = logs.real
+    if any(verdicts):  # an error is true, None is false
+        logs[[v is not None for v in verdicts]] = 0.0
+    return logs, verdicts, stack
 
 
 def mat_log(g):
@@ -694,16 +699,12 @@ def mat_log(g):
     mat = g.matrix
     unitary = g.group_tag == "U" or g.is_unitary()
     flat = mat.to_flat()
-    logs, (refused,) = _principal_logs(
+    logs, (refused,), _ = _principal_logs(
         flat.reshape((1, -1) + flat.shape[-2:]), [unitary])
     if refused is not None:
         raise refused
-    logs = logs.reshape(flat.shape)
-    if mat.algebra.kind == SCALAR_REAL:
-        if np.max(np.abs(np.imag(logs))) > 1e-9:
-            raise SpectrumOnCutError(_NO_REAL_LOG)
-        logs = np.real(logs)
-    out = MatrixOverAlgebra.from_flat(mat.algebra, mat.n, logs)
+    out = MatrixOverAlgebra.from_flat(mat.algebra, mat.n,
+                                      logs.reshape(flat.shape))
     back = mat_exp(out)
     err = (back.matrix - mat).op_norm()
     if _misses_round_trip(err, mat.op_norm()):
@@ -774,21 +775,12 @@ def mat_logs(algebra, n, flats, unitary):
             unit = np.isfinite(res).reshape(count, -1).all(axis=-1)
             res = np.where(_each(unit, res), res, 0.0)
             unit &= op_norms(algebra.norm(res)) <= DEFAULT_TOL
-    logs, verdicts = _principal_logs(
+    logs, verdicts, stand_in = _principal_logs(
         flats.reshape((count, -1) + flats.shape[-2:]), unit)
     logs = logs.reshape(flats.shape)
-    # A refused element's round trip is never read, but the matrix-kind
-    # norm of a NaN fails in svd: a non-finite element is measured as the
-    # identity.
-    finite = np.isfinite(flats).reshape(count, -1).all(axis=-1)
-    if not finite.all():
-        flats = np.where(_each(finite, flats), flats, ident.to_flat())
-    data = stack_from_flat(algebra, n, flats)
-    if algebra.kind == SCALAR_REAL:
-        imag = np.abs(logs.imag).reshape(count, -1).max(axis=-1)
-        _refuse(verdicts, imag > 1e-9,
-                lambda t: SpectrumOnCutError(_NO_REAL_LOG))
-        logs = logs.real
+    # A refused element's round trip is never read, but the matrix-kind norm
+    # of a NaN fails in svd: a non-finite element is measured as identity.
+    data = stack_from_flat(algebra, n, stand_in.reshape(flats.shape))
     exps, exp_verdicts = mat_exps(algebra, n, logs)
     verdicts = [v if v is not None else e
                 for v, e in zip(verdicts, exp_verdicts)]

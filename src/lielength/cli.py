@@ -237,14 +237,7 @@ def _en_hsdet(args):
     if args.input:
         word = elementary.word_from_json(_read_json(args.input))
     else:
-        rng = np.random.default_rng(args.seed)
-        alg = algebra.scalar_complex()
-        word = []
-        for _ in range(4):
-            i, j = rng.permutation(3)[:2] + 1
-            payload = algebra.AlgebraElement(alg, alg.random_value(rng))
-            word.append(elementary.ElementaryGenerator("E", 3, payload,
-                                                       int(i), int(j)))
+        word = elementary.random_word(4, np.random.default_rng(args.seed))
     cert = elementary.word_certificate(word)
     value = elementary.hs_determinant(cert)
     doc = {"command": "en hsdet", "seed": args.seed,
@@ -258,7 +251,8 @@ def _en_witness(args):
     doc = {"command": "en witness", "m": args.m,
            "lower": bracket.lower, "upper": bracket.upper,
            "check": "lower bound is log(m+1), upper bound m"}
-    return doc, abs(bracket.lower - math.log(args.m + 1)) <= 1e-12
+    return doc, (abs(bracket.lower - math.log(args.m + 1)) <= 1e-12
+                 and abs(bracket.upper - args.m) <= 1e-12)
 
 
 def _cmd_coarse(args):

@@ -19,6 +19,7 @@ algebras).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,6 +163,18 @@ def word_certificate(word):
     target = elementary_product(word)
     factors = [replace(g, kind="e").matrix() for g in word]
     return FactorizationCertificate.from_factors(factors, target)
+
+
+def random_word(length, rng):
+    """A word of ``length`` generators E(i, j, a) of size 3 over the complex
+    scalars, drawn in turn: the slots (i, j) from a permutation, then a."""
+    alg = scalar_complex()
+    word = []
+    for _ in range(length):
+        i, j = rng.permutation(3)[:2] + 1
+        payload = AlgebraElement(alg, alg.random_value(rng))
+        word.append(ElementaryGenerator("E", 3, payload, int(i), int(j)))
+    return word
 
 
 def commutator(x, y):
@@ -358,6 +371,9 @@ def unboundedness_witness(m, algebra=None):
     m."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > sys.float_info.max:
+        raise ValueError("m must be at most the largest float, "
+                         f"{sys.float_info.max!r}")
     algebra = algebra or scalar_complex()
     payload = AlgebraElement(algebra, m * algebra.unit_value())
     cert = word_certificate([ElementaryGenerator("E", 2, payload, 1, 2)])

@@ -151,6 +151,7 @@ def el_exact_unitary(u):
     pointwise principal logarithm is itself continuous across every edge
     (in particular on edgeless discretizations and near the identity).
     """
+    u.check_finite()
     if not u.is_unitary():
         raise ValueError("input is not unitary")
     log = mat_log(u)
@@ -166,6 +167,7 @@ def el_exact_positive_diagonal(a):
     Each test is judged at the scale of what it tests: the off-diagonal
     entries against the larger diagonal entry, d d^{-1} - 1 against
     |d| |d^{-1}|, and the imaginary part of d against |d|."""
+    a.check_finite()
     mat = a.matrix
     if mat.n != 2:
         raise ValueError("expected a 2x2 diagonal element")

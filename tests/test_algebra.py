@@ -191,6 +191,32 @@ def test_mat_logs_refuses_a_non_finite_element_as_mat_log_does(alg, entries):
     assert np.array_equal(logs[1], expected)
 
 
+@pytest.mark.parametrize("tag", ["GL", "U"])
+def test_mat_log_refuses_a_real_element_with_no_real_log(tag):
+    g = ll.GroupElement(ll.MatrixOverAlgebra(ll.scalar_real(), -np.eye(2)),
+                        tag)
+    with pytest.raises(ll.SpectrumOnCutError, match="^no real logarithm: "):
+        ll.mat_log(g)
+
+
+def test_mat_logs_refuses_only_the_real_element_with_no_real_log():
+    """On a real stack, -I has no real log and a quarter turn has one: the
+    verdict on -I is the error of ``mat_log``, and the rotation keeps the
+    bytes of its log alone."""
+    alg = ll.scalar_real()
+    quarter = ll.MatrixOverAlgebra(alg, np.array([[0.0, -1.0], [1.0, 0.0]]))
+    minus = ll.MatrixOverAlgebra(alg, -np.eye(2))
+    logs, _, verdicts = algebra.mat_logs(
+        alg, 2, np.stack([minus.to_flat(), quarter.to_flat()]), False)
+    with pytest.raises(ll.SpectrumOnCutError) as raised:
+        ll.mat_log(ll.GroupElement(minus, "GL"))
+    assert type(verdicts[0]) is type(raised.value)
+    assert str(verdicts[0]) == str(raised.value)
+    assert verdicts[1] is None
+    alone = ll.mat_log(ll.GroupElement(quarter, "GL")).to_flat()
+    assert logs[1].tobytes() == alone.tobytes()
+
+
 def test_mat_log_branch_at_minus_one():
     alg = ll.scalar_complex()
     u = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.array([[-1.0 + 0j]])), "U")
@@ -328,11 +354,11 @@ def test_matrix_data_is_read_only(alg):
 
 def test_matrix_attributes_cannot_be_rebound():
     m = ll.MatrixOverAlgebra.identity(ll.scalar_complex(), 2)
-    with pytest.raises(AttributeError, match="immutable"):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         m.data = np.zeros((2, 2))
-    with pytest.raises(AttributeError, match="immutable"):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         m.n = 3
-    with pytest.raises(AttributeError, match="immutable"):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         del m.algebra
     assert m.n == 2 and np.array_equal(m.data, np.eye(2))
 

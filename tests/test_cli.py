@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import gc
 import io
 import itertools
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lielength as ll
-from lielength import circle, cli, explength
+from lielength import circle, cli, elementary, explength
 
 
 def run(argv):
@@ -404,6 +405,27 @@ def test_empty_witness_set_exits_2_with_one_line(capsys):
     assert captured.out == ""
     assert captured.err == (
         "lielength: error: the witness needs at least one element\n")
+
+
+def test_en_witness_refuses_an_m_past_the_float_range(capsys):
+    assert run(["en", "witness", "--m", str(10**400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lielength: error: m must be at most the largest "
+                            "float, 1.7976931348623157e+308\n")
+
+
+def test_en_witness_checks_its_upper_bound(monkeypatch, capsys):
+    """The check text names both ends, so an upper bound off by 1 fails."""
+    witness = elementary.unboundedness_witness
+
+    def off_by_one(m):
+        bracket = witness(m)
+        return dataclasses.replace(bracket, upper=bracket.upper + 1.0)
+
+    monkeypatch.setattr(elementary, "unboundedness_witness", off_by_one)
+    assert run(["en", "witness", "--m", "100"]) == 1
+    assert '"upper": 101.0' in capsys.readouterr().out
 
 
 def _group_message(spec):

@@ -87,6 +87,23 @@ def test_el_exact_positive_diagonal_rejects_nonpositive():
         ll.el_exact_positive_diagonal(g)
 
 
+@pytest.mark.parametrize("alg", [ll.scalar_complex(), ll.scalar_real()],
+                         ids=["C", "R"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("exact", [ll.el_exact_positive_diagonal,
+                                   ll.el_exact_unitary],
+                         ids=lambda f: f.__name__)
+def test_exact_lengths_refuse_a_non_finite_entry_by_name(exact, bad, alg):
+    """A NaN or infinite entry is named as such, not taken for a wrong
+    shape or a non-unitary input, and never becomes a length."""
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.diag([bad, 1.0])), "GL",
+                        validate=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            exact(g)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(st.floats(-150.0, 150.0), st.booleans(),
        st.sampled_from(["C", "R", "functions"]))
