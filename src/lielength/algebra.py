@@ -19,7 +19,6 @@ brackets every quantity derived from it.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,6 +50,13 @@ def is_integer(value):
     """An int or a numpy integer, but not a bool: a JSON true or false is
     never read as 1 or 0."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def in_order(lower, upper):
+    """The one order rule of every inequality the library checks, from a
+    bracket's two bounds to a chain's steps against its constant: lower <=
+    upper up to 1e-9 (1 + upper)."""
+    return lower <= upper + 1e-9 * (1.0 + upper)
 
 
 def graph_edges(vertices, edges):
@@ -281,7 +287,7 @@ def op_norms(entry_norms):
     return entry_norms.sum(axis=-2).max(axis=-1)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class MatrixOverAlgebra:
     """An n-by-n matrix with entries in a Banach algebra.
 
@@ -540,12 +546,7 @@ def unitary_spectrum(m):
     and an eigenvalue at -1 is resolved to +pi.
     """
     m = np.asarray(m).astype(np.complex128)
-    if m.ndim > 2 and math.prod(m.shape[:-2]) == 1:
-        # One slice: the 2-D call skips scipy's batching wrapper.
-        t, z = scipy.linalg.schur(m.reshape(m.shape[-2:]), output="complex")
-        t, z = t.reshape(m.shape), z.reshape(m.shape)
-    else:
-        t, z = scipy.linalg.schur(m, output="complex")
+    t, z = scipy.linalg.schur(m, output="complex")
     d = np.diagonal(t, axis1=-2, axis2=-1)
     off = t - d[..., None] * np.eye(t.shape[-1])
     size = np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))

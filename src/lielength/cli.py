@@ -230,7 +230,7 @@ def _en_decompose(args):
            "e_slots": sorted(map(str, decomp.e_coefficients)),
            "f_slots": sorted(map(str, decomp.f_coefficients)),
            "check": "span rebuild reproduces the input"}
-    return doc, residual <= 1e-10
+    return doc, residual <= 1e-10 * (1.0 + x.op_norm())
 
 
 def _en_hsdet(args):

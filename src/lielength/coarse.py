@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import finite_floats
+from .algebra import finite_floats, in_order
 
 
 @dataclass
@@ -191,7 +191,7 @@ def check_large_scale_geodesic(space, constant, chain_fn, chain_dist):
         if pair_needed > needed:
             needed, worst = pair_needed, (a, b)
     radius = float(np.max(space.dist)) if len(space.ids) > 1 else 0.0
-    return GeodesicReport(bool(needed <= constant + 1e-9), needed, worst,
+    return GeodesicReport(bool(in_order(needed, constant)), needed, worst,
                           len(space.ids), radius)
 
 

@@ -25,6 +25,8 @@ from .algebra import (
     MatrixOverAlgebra,
     NumericFailureError,
     SpectrumOnCutError,
+    in_order,
+    json_fields,
     mat_exp,
     mat_exps,
     mat_log,
@@ -99,14 +101,12 @@ class FactorizationCertificate:
 
     @classmethod
     def from_json(cls, doc, target):
-        factors = [matrix_from_json(d) for d in doc["factors"]]
+        (factors,) = json_fields(doc, "a certificate", "factors")
+        if not isinstance(factors, list):
+            raise ValueError(f"a certificate's factors must be a JSON list, "
+                             f"not {factors!r:.40}")
+        factors = [matrix_from_json(d) for d in factors]
         return cls.from_factors(factors, target)
-
-
-def in_order(lower, upper):
-    """The one order check of a bracket, of rel against el, and of a norm
-    of a sum against its sum of norms: up to 1e-9 (1 + upper)."""
-    return lower <= upper + 1e-9 * (1.0 + upper)
 
 
 @dataclass
@@ -515,7 +515,7 @@ class MinimalityReport:
 def minimality_check(samples):
     """Fit the smallest K with ell(exp X) <= |X| <= K * ell(exp X) over
     Lie-algebra samples X, where ell is the certificate upper bound of
-    ``el_estimate`` without optimization; comparisons allow 1e-9.
+    ``el_estimate`` without optimization; ``lower_holds`` reads ``in_order``.
     """
     quick = EstimateBudget(optimize=False)
     constant = 0.0
@@ -527,7 +527,7 @@ def minimality_check(samples):
         value = el_estimate(g, budget=quick).upper
         norm = x.op_norm()
         pairs.append((norm, value))
-        if value > norm + 1e-9:
+        if not in_order(value, norm):
             lower_holds = False
         if value > 0 and norm / value > constant:
             constant = norm / value

@@ -20,6 +20,7 @@ import numpy as np
 
 from .algebra import (
     NumericFailureError,
+    in_order,
     read_only,
     spectral,
     unitary_spectrum,
@@ -206,7 +207,7 @@ def sandwich_check(a, context):
     """The two-sided estimate (|a|_p / 2, |e^{ia} - 1|_p, |a|_p).
 
     Requires |a|_inf <= pi.  Raises AssertionError if either inequality
-    fails by more than 1e-9.
+    fails ``in_order``.
     """
     a = np.asarray(a, dtype=complex)
     top, u = _exp_i(a, context)
@@ -215,7 +216,7 @@ def sandwich_check(a, context):
     rhs = p_norm(a, context)
     lhs = 0.5 * rhs
     mid = u.dist_to_identity()
-    if not (lhs <= mid + 1e-9 and mid <= rhs + 1e-9):
+    if not (in_order(lhs, mid) and in_order(mid, rhs)):
         raise AssertionError(
             f"sandwich violated: {lhs} <= {mid} <= {rhs} fails")
     return lhs, mid, rhs
@@ -272,10 +273,8 @@ class GeodesicChainReport:
 
     @property
     def satisfies_large_scale_geodesic(self):
-        if not self.step_lengths:
-            return True
-        return (max(self.step_lengths) <= 2.0 + 1e-9
-                and self.sum_of_steps <= 2.0 * self.distance + 1e-9)
+        return (in_order(max(self.step_lengths, default=0.0), 2.0)
+                and in_order(self.sum_of_steps, 2.0 * self.distance))
 
 
 def geodesic_chain(u):
@@ -355,7 +354,7 @@ def exp_p_continuity(a, sequence, context):
         sup_norm = max(sup_norm, am_norm)
         denom = p_norm(am - a, context)
         ratios.append(0.0 if denom == 0.0 else uam.dist_to(ua) / denom)
-    if not all(r <= EXP_LIPSCHITZ_BOUND + 1e-9 for r in ratios):
+    if not all(in_order(r, EXP_LIPSCHITZ_BOUND) for r in ratios):
         raise AssertionError(
             f"exp ratio exceeded the telescoping bound e: {max(ratios)}")
     return ExpContinuityReport(ratios, sup_norm)

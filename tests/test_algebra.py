@@ -363,6 +363,13 @@ def test_matrix_attributes_cannot_be_rebound():
     assert m.n == 2 and np.array_equal(m.data, np.eye(2))
 
 
+def test_matrix_refuses_a_new_attribute_as_frozen():
+    m = ll.MatrixOverAlgebra.identity(ll.scalar_complex(), 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.x = 1
+    assert not hasattr(m, "x")
+
+
 def test_group_element_is_frozen():
     g = ll.GroupElement.identity(ll.scalar_complex(), 2)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -168,6 +168,19 @@ def test_en_subcommands(tmp_path):
     assert run(["en", "hsdet", "--seed", "3"]) == 0
 
 
+def test_en_decompose_judges_the_rebuild_at_the_input_scale(tmp_path, capsys):
+    """A traceless input of norm 1e8 rebuilds to a relative 6e-17, an
+    absolute 6e-9: the residual is judged against 1e-10 (1 + |X|)."""
+    x = ll.MatrixOverAlgebra(ll.scalar_complex(),
+                             np.diag([1e8, 0.1, -(1e8 + 0.1)]).astype(complex))
+    assert np.trace(x.data) == 0
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(ll.algebra.matrix_to_json(x)))
+    assert run(["en", "decompose", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 1e-10 < doc["rebuild_residual"] <= 1e-10 * (1 + x.op_norm())
+
+
 def test_coarse_fit_command(tmp_path):
     ids = ["a", "b", "c"]
     dist = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]

@@ -663,6 +663,16 @@ def test_certificate_json_round_trip():
     assert back.sum_of_norms == pytest.approx(cert.sum_of_norms, abs=1e-12)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({}, "a certificate lacks the key 'factors'"),
+    ({"factors": 5}, "a certificate's factors must be a JSON list, not 5"),
+])
+def test_certificate_json_of_the_wrong_shape_is_refused(doc, message):
+    g = ll.GroupElement.identity(ll.scalar_complex(), 2)
+    with pytest.raises(ValueError, match=message):
+        ll.FactorizationCertificate.from_json(doc, g)
+
+
 # -- Trotter scaling ----------------------------------------------------------------
 
 def test_trotter_commuting_exact():
