@@ -377,4 +377,5 @@ def unboundedness_witness(m, algebra=None):
     algebra = algebra or scalar_complex()
     payload = AlgebraElement(algebra, m * algebra.unit_value())
     cert = word_certificate([ElementaryGenerator("E", 2, payload, 1, 2)])
-    return ElBracket(el_lower_bound(cert.target), cert.sum_of_norms, cert)
+    lower, method = el_lower_bound(cert.target)
+    return ElBracket(lower, cert.sum_of_norms, cert, method)

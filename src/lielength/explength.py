@@ -5,8 +5,9 @@ The exponential length of a group element g is the infimum of sum_i |X_i|
 over factorizations g = exp(X_1) ... exp(X_n); the reduced variant takes
 |sum_i X_i| instead.  Neither infimum is computable in general, so every
 estimate here is a bracket: the upper bound comes from an explicit
-factorization certificate, the lower bound from log |g| (valid because
-|exp(X)| <= e^{|X|} and the norm is submultiplicative).  Reported values are
+factorization certificate, the lower bound from ``el_lower_bound`` (log |g|,
+valid because |exp(X)| <= e^{|X|} and the norm is submultiplicative, or
+|log u| for a unitary where a theorem makes it exact).  Reported values are
 always tied to the norm of the ambient matrix algebra.
 """
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .algebra import (
     FUNCTIONS,
+    SCALAR_REAL,
     GroupElement,
     MatrixOverAlgebra,
     NumericFailureError,
@@ -111,11 +113,13 @@ class FactorizationCertificate:
 
 @dataclass
 class ElBracket:
-    """Two-sided enclosure of an exponential length value."""
+    """Two-sided enclosure of an exponential length value; ``lower_method``
+    names the bound of ``el_lower_bound`` that gave ``lower``."""
 
     lower: float
     upper: float
     certificate: FactorizationCertificate
+    lower_method: str
 
     def __post_init__(self):
         if not in_order(self.lower, self.upper):
@@ -124,22 +128,48 @@ class ElBracket:
 
     def to_json(self):
         return {"lower": self.lower, "upper": self.upper,
-                "lower_method": "log-op-norm",
+                "lower_method": self.lower_method,
                 "certificate": self.certificate.to_json()}
 
 
 def el_lower_bound(g):
-    """max(0, log|g|, log|g^{-1}|): every factorization of g satisfies
-    sum |X_i| >= log |prod exp(X_i)|, and the reversed-negated factorization
-    of g^{-1} has the same sum.  An element with a non-finite entry is
-    refused."""
+    """(value, method): the larger of two lower bounds of el(g).  An
+    element with a non-finite entry is refused.
+
+    ``"log-op-norm"``, max(0, log|g|, log|g^{-1}|), holds for every g:
+    every factorization satisfies sum |X_i| >= log |prod exp(X_i)|, and the
+    reversed-negated factorization of g^{-1} has the same sum.
+
+    ``"unitary-log"``, ``el_exact_unitary(g)``, holds for a U-tagged 1x1
+    element u over the complex scalars, ``matrix_algebra(k)`` or a function
+    algebra, whose length is taken over skew-adjoint factors iA_j.  Over C
+    and M_k the norm is unitarily invariant, and Thompson's formula
+    e^{iA} e^{iB} = e^{i(V A V* + W B W*)} for self-adjoint A, B and some
+    unitaries V, W (R. C. Thompson, Linear Multilinear Algebra 19, 1986)
+    gives |log(e^{iA} e^{iB})| <= |A| + |B| when |A| + |B| < pi.  By
+    induction every factorization has sum |A_j| >= |log u| on the principal
+    branch, and |log u| <= pi covers the longer ones.  Over C(X),
+    evaluation at a vertex is a contractive unital *-homomorphism, so
+    sup_x |arg u(x)| is a lower bound too.  Only the log-norm bound is
+    taken for n > 1, where the l1-sum operator norm is not unitarily
+    invariant, over the real scalars, and for an element that
+    ``el_exact_unitary`` refuses: one built with ``validate=False`` that is
+    not unitary, or one whose principal log is refused."""
     g.check_finite()
     best = 0.0
     for h in (g, g.inverse()):
         norm = h.matrix.op_norm()
         if norm > 0:
             best = max(best, math.log(norm))
-    return best
+    if g.group_tag == "U" and g.n == 1 and g.algebra.kind != SCALAR_REAL:
+        try:
+            exact = el_exact_unitary(g)
+        except (ValueError, NumericFailureError):
+            pass
+        else:
+            if exact > best:
+                return exact, "unitary-log"
+    return best, "log-op-norm"
 
 
 def el_exact_unitary(u):
@@ -385,8 +415,18 @@ def _norm_of_sum(factors):
     return sum(factors[1:], factors[0]).op_norm()
 
 
-def _search(g, pool, objective, budget, seed):
+def _search(g, pool, objective, budget, seed, lower):
+    """The certificate of least objective, among the pool and its
+    ``budget.restarts`` refined starts, that meets the residual gate.  When
+    the pool's best meets the gate and reaches ``lower``, a lower bound of
+    the objective (``in_order``), nothing can beat it: it is returned with
+    no restart."""
     candidates = sorted(((objective(f), f) for f in pool), key=lambda t: t[0])
+    gate = admissible_residual(g.matrix.op_norm())
+    if in_order(candidates[0][0], lower):
+        cert = FactorizationCertificate.from_factors(candidates[0][1], g)
+        if cert.residual <= gate:
+            return cert
     results = list(candidates)
     if budget.optimize:
         for restart in range(budget.restarts):
@@ -397,51 +437,52 @@ def _search(g, pool, objective, budget, seed):
     results.sort(key=lambda t: t[0])
     for val, factors in results:
         cert = FactorizationCertificate.from_factors(factors, g)
-        if cert.residual <= admissible_residual(g.matrix.op_norm()):
+        if cert.residual <= gate:
             return cert
     raise NoFactorizationError("no certificate met the residual tolerance")
 
 
 # The work kept for the last element asked without initial factors: (key,
-# pool, el certificates by (budget, seed)).  One entry, replaced by one
-# assignment, so memory stays bounded and each reader works on its own
-# reference: two threads on two elements only miss.
+# pool, el lower bound, el certificates by (budget, seed)).  One entry,
+# replaced by one assignment, so memory stays bounded and each reader works
+# on its own reference: two threads on two elements only miss.
 _last_element = None
 
 
 def _element_work(g, initial_factors):
-    """The pool of g and its el certificates by (budget, seed).  Without
-    initial factors both are kept for the last element asked, and reused
-    when g has its value: the key is the algebra, n, the group tag, the
-    dtype and the entry bytes, so writing through the caller's array is a
-    miss.  An element whose pool raises ``NoFactorizationError`` is not
-    kept, so it raises on every call, and one with a non-finite entry is
-    refused before any log."""
+    """The pool of g, its ``el_lower_bound`` and its el certificates by
+    (budget, seed).  Without initial factors all three are kept for the
+    last element asked, and reused when g has its value: the key is the
+    algebra, n, the group tag, the dtype and the entry bytes, so writing
+    through the caller's array is a miss.  An element whose pool raises
+    ``NoFactorizationError`` is not kept, so it raises on every call, and
+    one with a non-finite entry is refused before any log."""
     global _last_element
     g.check_finite()
     if initial_factors is not None:
-        return _initial_certificates(g, initial_factors), {}
+        return _initial_certificates(g, initial_factors), el_lower_bound(g), {}
     data = g.matrix.data
     key = (g.algebra, g.n, g.group_tag, data.dtype.str, data.tobytes())
     last = _last_element
     if last is not None and last[0] == key:
-        return last[1], last[2]
-    pool, certificates = _initial_certificates(g, None), {}
-    _last_element = (key, pool, certificates)
-    return pool, certificates
+        return last[1:]
+    work = _initial_certificates(g, None), el_lower_bound(g), {}
+    _last_element = (key, *work)
+    return work
 
 
-def _el_certificate(g, pool, certificates, budget, seed):
-    """The el search's certificate on the pool, run once per (budget, seed)."""
+def _el_certificate(g, pool, lower, certificates, budget, seed):
+    """The el search's certificate on the pool, run once per (budget, seed);
+    ``lower`` is the value of the element's ``el_lower_bound``."""
     cert = certificates.get((budget, seed))
     if cert is None:
-        cert = _search(g, pool, _sum_norms, budget, seed)
+        cert = _search(g, pool, _sum_norms, budget, seed, lower)
         certificates[budget, seed] = cert
     return cert
 
 
 def el_estimate(g, budget=None, seed=0):
-    """Bracket [log-norm lower bound, best certificate sum] for el(g).
+    """Bracket [``el_lower_bound``, best certificate sum] for el(g).
 
     Deterministic for a fixed seed; the certificate witnessing the upper
     bound is returned inside the bracket.  ``el_estimate`` and
@@ -452,9 +493,10 @@ def el_estimate(g, budget=None, seed=0):
     is g itself.
     """
     budget = budget or EstimateBudget()
-    cert = _el_certificate(g, *_element_work(g, None), budget, seed)
+    pool, (lower, method), certificates = _element_work(g, None)
+    cert = _el_certificate(g, pool, lower, certificates, budget, seed)
     cert = replace(cert, factors=list(cert.factors), target=g)
-    return ElBracket(el_lower_bound(g), cert.sum_of_norms, cert)
+    return ElBracket(lower, cert.sum_of_norms, cert, method)
 
 
 def rel_estimate(g, budget=None, seed=0, initial_factors=None):
@@ -463,12 +505,14 @@ def rel_estimate(g, budget=None, seed=0, initial_factors=None):
     that wins the el objective (so rel <= el upper holds on the shared
     pool).  Both searches start from one pool, which, without
     ``initial_factors``, is the pool ``el_estimate`` uses for the same
-    element; its el search is shared with ``el_estimate`` too."""
+    element; its el search is shared with ``el_estimate`` too.  The rel
+    search stops early only at 0: |log u| is not proven to bound
+    |sum X_i| from below."""
     budget = budget or EstimateBudget()
-    pool, certificates = _element_work(g, initial_factors)
-    value = _search(g, pool, _norm_of_sum, budget, seed).norm_of_sum
+    pool, (lower, _), certificates = _element_work(g, initial_factors)
+    value = _search(g, pool, _norm_of_sum, budget, seed, 0.0).norm_of_sum
     if budget.optimize:
-        el_cert = _el_certificate(g, pool, certificates, budget, seed)
+        el_cert = _el_certificate(g, pool, lower, certificates, budget, seed)
         value = min(value, el_cert.norm_of_sum)
     return value
 

@@ -543,11 +543,11 @@ REL_GL2_SEED3 = {"rel_upper": 3.043889925484966,
 
 @pytest.mark.parametrize("argv, pinned", [
     (["el", "bracket", "--group", "u4", "--seed", "7"],
-     {"lower": 6.661338147750937e-16, "upper": 2.0762666856961056,
-      "residual": 1.6797344236599312e-15}),
+     {"lower": 2.0762666856961056, "upper": 2.0762666856961056,
+      "residual": 1.6797344236599312e-15, "lower_method": "unitary-log"}),
     (["el", "bracket", "--group", "gl3", "--seed", "1"],
      {"lower": 2.00423580343932, "upper": 4.264042864568143,
-      "residual": 1.0640846502575137e-14}),
+      "residual": 1.0640846502575137e-14, "lower_method": "log-op-norm"}),
     (["rel", "estimate", "--group", "gl2", "--seed", "3"], REL_GL2_SEED3),
     (["schatten", "chain", "--dim", "4", "--p", "1"],
      {"distance": 5.80506725124477, "coarse_proper_steps": 13,

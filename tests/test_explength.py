@@ -157,18 +157,20 @@ def test_a_logm_overflow_is_a_refused_log(alg, logm_inputs):
 def test_el_lower_bound_fixtures():
     alg = ll.scalar_complex()
     ident = ll.GroupElement(ll.MatrixOverAlgebra.identity(alg, 2), "GL")
-    assert ll.el_lower_bound(ident) == 0.0
+    assert ll.el_lower_bound(ident) == (0.0, "log-op-norm")
 
     for m in (1.0, 4.0):
         e = ll.MatrixOverAlgebra(alg, np.array([[1, m], [0, 1]], dtype=complex))
         g = ll.GroupElement(e, "GL")
-        assert ll.el_lower_bound(g) == pytest.approx(math.log(m + 1),
-                                                     abs=1e-12)
+        assert ll.el_lower_bound(g) == (pytest.approx(math.log(m + 1),
+                                                      abs=1e-12),
+                                        "log-op-norm")
 
     g = ll.GroupElement(
         ll.MatrixOverAlgebra(alg, np.diag([math.e ** 3 + 0j, math.e ** -3])),
         "GL")
-    assert ll.el_lower_bound(g) == pytest.approx(3.0, abs=1e-12)
+    assert ll.el_lower_bound(g) == (pytest.approx(3.0, abs=1e-12),
+                                    "log-op-norm")
 
 
 NON_FINITE_ELEMENTS = {
@@ -194,6 +196,97 @@ def test_estimates_refuse_a_non_finite_element_before_any_log(
     monkeypatch.setattr(explength, "mat_logs", refused)
     with pytest.raises(ValueError, match="^entries must be finite$"):
         estimate(g)
+
+
+# -- the unitary lower bound and the early exit ------------------------------------
+
+UNITARY_KINDS = ["C", "M2", "M3", "M4", "M5", "M6", "path", "edgeless"]
+
+
+def u_tagged(kind, angle, rng):
+    """A U-tagged 1x1 element over C, M_k or C(X) on six vertices, with
+    |log u| = angle, except on C(X) where it is at most angle."""
+    if kind == "C":
+        alg = ll.scalar_complex()
+        entry = np.exp(1j * rng.choice([-1, 1]) * angle)
+    elif kind.startswith("M"):
+        alg = ll.matrix_algebra(int(kind[1:]))
+        entry = random_unitary(alg.k, rng, operator_norm=angle)
+    else:
+        edges = [(v, v + 1) for v in range(5)] if kind == "path" else ()
+        alg = ll.function_algebra(6, edges)
+        entry = np.exp(1j * rng.uniform(-angle, angle, size=6))
+    mat = ll.MatrixOverAlgebra(alg, np.array(entry)[None, None])
+    return ll.GroupElement(mat, "U", validate=False)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.sampled_from(UNITARY_KINDS), st.floats(0.0, math.pi),
+       st.integers(0, 2**32 - 1))
+def test_no_certificate_goes_below_the_unitary_lower_bound(kind, angle, seed):
+    """Every certificate of the pool, and every factor list that
+    ``_refine_factors`` makes from each of them, has a sum of norms at
+    least ``el_lower_bound``, which takes |log u|."""
+    g = u_tagged(kind, angle, np.random.default_rng(seed))
+    lower, _ = ll.el_lower_bound(g)
+    assert lower >= ll.el_exact_unitary(g)
+    budget = ll.EstimateBudget(restarts=1, iterations=3, trials=3)
+    for start in explength._initial_certificates(g, None):
+        cert = ll.FactorizationCertificate.from_factors(start, g)
+        assert explength.in_order(lower, cert.sum_of_norms)
+        rng = np.random.default_rng(seed)
+        refined, value = explength._refine_factors(
+            start, g, explength._sum_norms, budget, rng)
+        assert value == explength._sum_norms(refined)
+        assert explength.in_order(lower, value)
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """The calls into ``_refine_factors`` during a test."""
+    calls = []
+    refine = explength._refine_factors
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(explength, "_refine_factors", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["C", "M3", "path"])
+def test_a_closed_unitary_bracket_makes_no_refine_call(kind, refine_calls):
+    g = u_tagged(kind, 2.0, np.random.default_rng(5))
+    bracket = ll.el_estimate(g, seed=1)
+    assert bracket.lower_method == "unitary-log"
+    assert bracket.lower == bracket.upper == ll.el_exact_unitary(g)
+    assert refine_calls == []
+
+
+def test_a_gl_element_still_makes_every_restart(refine_calls):
+    g = acceptance.random_gl(3, np.random.default_rng(1))
+    budget = ll.EstimateBudget()
+    bracket = ll.el_estimate(g, budget=budget, seed=1)
+    assert bracket.lower_method == "log-op-norm"
+    assert len(refine_calls) == budget.restarts
+
+
+UNITARY_LOG_OUT_OF_REACH = {
+    # unitary_spectrum would read |log 2i| = pi/2, above log 2
+    "not-unitary": (ll.scalar_complex(), [[2j]]),
+    "n=2": (ll.scalar_complex(), np.diag(np.exp([1j, -0.5j]))),
+    "real-minus-one": (ll.scalar_real(), [[-1.0]])}
+
+
+@pytest.mark.parametrize("alg, entries", UNITARY_LOG_OUT_OF_REACH.values(),
+                         ids=UNITARY_LOG_OUT_OF_REACH)
+def test_out_of_the_theorems_reach_the_log_norm_bound_stays(alg, entries):
+    g = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.array(entries)), "U",
+                        validate=False)
+    log_norm = max(0.0, *(math.log(h.matrix.op_norm())
+                          for h in (g, g.inverse())))
+    assert ll.el_lower_bound(g) == (log_norm, "log-op-norm")
 
 
 # -- the estimator ---------------------------------------------------------------

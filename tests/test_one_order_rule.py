@@ -1,8 +1,9 @@
 """Every inequality the library checks reads one order rule.
 
 ``algebra.in_order(lower, upper)`` is lower <= upper up to 1e-9 (1 + upper).
-A comparison that writes its own ``<expr> + 1e-9`` states a second, absolute
-slack beside it, and a second ``def in_order`` a second rule.
+A comparison that writes its own ``<expr> + 1e-9`` or ``<expr> - 1e-9``
+states a second, absolute slack beside it, and a second ``def in_order`` a
+second rule.
 """
 
 import ast
@@ -14,19 +15,26 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "lielength"
 MODULES = sorted(SOURCE.glob("*.py"))
 
 
-def _adds_the_slack(node):
-    """``<expr> + 1e-9`` or ``1e-9 + <expr>``."""
-    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-            and any(isinstance(side, ast.Constant) and side.value == 1e-9
-                    for side in (node.left, node.right)))
+def _is_the_slack(node):
+    return isinstance(node, ast.Constant) and node.value == 1e-9
+
+
+def _states_the_slack(node):
+    """``<expr> + 1e-9``, ``1e-9 + <expr>`` or ``<expr> - 1e-9``."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Add):
+        return _is_the_slack(node.left) or _is_the_slack(node.right)
+    return isinstance(node.op, ast.Sub) and _is_the_slack(node.right)
 
 
 def own_slacks(tree):
     """Line numbers of the comparisons in ``tree`` with an operand
-    ``<expr> + 1e-9``."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Compare)
-            and any(map(_adds_the_slack, [node.left, *node.comparators]))]
+    ``<expr> + 1e-9`` or ``<expr> - 1e-9``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(map(_states_the_slack,
+                              [node.left, *node.comparators])))
 
 
 def order_rules(tree):
@@ -41,8 +49,10 @@ def test_the_rule_on_a_sample():
                      "d = x <= y + 1e-9 * (1.0 + y)\n"
                      "e = x <= y + 1e-12\n"
                      "f = y + 1e-9\n"
+                     "g = exact - 1e-9 <= upper <= 1.05 * exact\n"
+                     "h = x - 1e-12 <= y\n"
                      "def in_order(lower, upper):\n    return lower <= upper\n")
-    assert own_slacks(tree) == [1, 2, 3]
+    assert own_slacks(tree) == [1, 2, 3, 7]
     assert order_rules(tree) == ["in_order"]
 
 
