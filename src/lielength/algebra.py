@@ -754,41 +754,64 @@ def mat_exps(algebra, n, flats):
     return exps, verdicts
 
 
-def mat_logs(algebra, n, flats, unitary):
-    """``mat_log`` of each element of a stack given in flat form, shape
-    (m,) + the ``stack_to_flat`` shape, element by element: every check of
-    ``mat_log`` at its tolerances, the refusal of non-finite input included.
+def stacked_logs(algebra, n, flats, unitary):
+    """The log stage of ``mat_logs``: the principal log of each element of
+    a stack given in flat form, shape (m,) + the ``stack_to_flat`` shape,
+    with every refusal of ``mat_log`` that comes before its round trip, the
+    refusal of non-finite input included.
 
     ``unitary`` says every element is tagged U; otherwise each one is
-    tested as ``GroupElement.is_unitary`` tests it.  Returns (logs, exps,
-    verdicts): the logs and their round-trip exponentials in flat form, and
-    per element None when its log is admitted, or else the error of its
-    first failed check.  Entries of a refused element mean nothing.
+    tested as ``GroupElement.is_unitary`` tests it.  Returns (logs,
+    verdicts, targets): the logs in flat form, per element None or the
+    error that refuses it, and the stack with each non-finite element
+    replaced by the identity, for ``round_trips`` to measure against (the
+    matrix-kind norm of a NaN fails in svd).  Entries of a refused element
+    mean nothing.
     """
     count = len(flats)
-    ident = MatrixOverAlgebra.identity(algebra, n)
     if unitary:
         unit = np.ones(count, dtype=bool)
     else:
+        ident = MatrixOverAlgebra.identity(algebra, n)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = np.swapaxes(flats.conj(), -1, -2) @ flats
             res = stack_from_flat(algebra, n, gram) - ident.data
             unit = np.isfinite(res).reshape(count, -1).all(axis=-1)
             res = np.where(_each(unit, res), res, 0.0)
             unit &= op_norms(algebra.norm(res)) <= DEFAULT_TOL
-    logs, verdicts, stand_in = _principal_logs(
+    logs, verdicts, targets = _principal_logs(
         flats.reshape((count, -1) + flats.shape[-2:]), unit)
-    logs = logs.reshape(flats.shape)
-    # A refused element's round trip is never read, but the matrix-kind norm
-    # of a NaN fails in svd: a non-finite element is measured as identity.
-    data = stack_from_flat(algebra, n, stand_in.reshape(flats.shape))
-    exps, exp_verdicts = mat_exps(algebra, n, logs)
-    verdicts = [v if v is not None else e
-                for v, e in zip(verdicts, exp_verdicts)]
+    return logs.reshape(flats.shape), verdicts, targets.reshape(flats.shape)
+
+
+def round_trips(algebra, n, logs, targets):
+    """The round-trip stage of ``mat_logs``: ``mat_exps`` of a stack of
+    logs in flat form, and the refusal of each log whose exponential
+    misses its target g by more than 1e-9 (1 + |g|).  Returns (exps,
+    verdicts) as ``mat_exps`` does."""
+    exps, verdicts = mat_exps(algebra, n, logs)
+    data = stack_from_flat(algebra, n, targets)
     err = op_norms(algebra.norm(stack_from_flat(algebra, n, exps) - data))
     _refuse(verdicts, _misses_round_trip(err, op_norms(algebra.norm(data))),
             lambda t: _round_trip_error(err[t]))
-    return logs, exps, verdicts
+    return exps, verdicts
+
+
+def mat_logs(algebra, n, flats, unitary):
+    """``mat_log`` of each element of a stack given in flat form, element
+    by element: ``stacked_logs``, then ``round_trips`` of every log, with
+    every check of ``mat_log`` at its tolerances.
+
+    Returns (logs, exps, verdicts): the logs and their round-trip
+    exponentials in flat form, and per element None when its log is
+    admitted, or else the error of its first failed check.  The refine
+    sweep calls the two stages itself: a re-split trial pays its round trip
+    only once it shortens the objective.
+    """
+    logs, verdicts, targets = stacked_logs(algebra, n, flats, unitary)
+    exps, trip_verdicts = round_trips(algebra, n, logs, targets)
+    return logs, exps, [v if v is not None else e
+                        for v, e in zip(verdicts, trip_verdicts)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,15 @@ from .algebra import (
     mat_exp,
     mat_exps,
     mat_log,
-    mat_logs,
     matrix_from_json,
     matrix_to_json,
     op_norms,
     random_stack,
+    round_trips,
     spectral,
     stack_from_flat,
     stack_to_flat,
+    stacked_logs,
 )
 
 
@@ -156,19 +157,36 @@ def el_lower_bound(g):
     ``el_exact_unitary`` refuses: one built with ``validate=False`` that is
     not unitary, or one whose principal log is refused."""
     g.check_finite()
+    return _lower_bound(g, _principal_log(g) if _unitary_tagged(g) else None)
+
+
+def _unitary_tagged(g):
+    """Whether g is a U-tagged 1x1 element over C, M_k or C(X), the reach
+    of the ``"unitary-log"`` bound."""
+    return g.group_tag == "U" and g.n == 1 and g.algebra.kind != SCALAR_REAL
+
+
+def _principal_log(g):
+    """``mat_log(g)``, or None where it is refused."""
+    try:
+        return mat_log(g)
+    except (SpectrumOnCutError, NumericFailureError):
+        return None
+
+
+def _lower_bound(g, single):
+    """``el_lower_bound`` of a finite g, given ``single``, its principal log
+    or None; the ``"unitary-log"`` bound needs it, and the el search's pool
+    has already taken it."""
     best = 0.0
     for h in (g, g.inverse()):
         norm = h.matrix.op_norm()
         if norm > 0:
             best = max(best, math.log(norm))
-    if g.group_tag == "U" and g.n == 1 and g.algebra.kind != SCALAR_REAL:
-        try:
-            exact = el_exact_unitary(g)
-        except (ValueError, NumericFailureError):
-            pass
-        else:
-            if exact > best:
-                return exact, "unitary-log"
+    if single is not None and _unitary_tagged(g) and g.is_unitary():
+        exact = _log_length(g, single)
+        if exact > best:
+            return exact, "unitary-log"
     return best, "log-op-norm"
 
 
@@ -184,7 +202,12 @@ def el_exact_unitary(u):
     u.check_finite()
     if not u.is_unitary():
         raise ValueError("input is not unitary")
-    log = mat_log(u)
+    return _log_length(u, mat_log(u))
+
+
+def _log_length(u, log):
+    """|log u| from the principal log of u: over C(X), the sup over
+    vertices of the pointwise norm."""
     if u.algebra.kind == FUNCTIONS:
         return float(np.abs(log.to_flat()).sum(axis=-2).max())
     return log.op_norm()
@@ -269,20 +292,16 @@ def _polar_certificate(g):
             mat_log(GroupElement(p, "GL", validate=False))]
 
 
-def _initial_certificates(g, initial_factors):
+def _initial_certificates(g, initial_factors, single):
     """Candidate factorizations: caller-supplied factors, the single-factor
-    principal log when admissible, its subdivisions, a rotated-branch single
-    factor, the polar two-factor split, and logs along the linear
-    interpolation from the identity (factor count doubling until every step
-    admits a log)."""
+    principal log ``single`` when admissible (not None), its subdivisions, a
+    rotated-branch single factor, the polar two-factor split, and logs along
+    the linear interpolation from the identity (factor count doubling until
+    every step admits a log)."""
     pool = []
     if initial_factors is not None:
         pool.append(list(initial_factors))
-    try:
-        single = mat_log(g)
-    except (SpectrumOnCutError, NumericFailureError):
-        pass
-    else:
+    if single is not None:
         pool.append([single])
         pool.extend([single.scaled(1.0 / k) for _ in range(k)] for k in (2, 4))
         return pool
@@ -322,12 +341,16 @@ def _resplits(g, left, pair, step, count, rng):
     and pair = exp X exp Y in flat form, as one stack.  Trial t draws a
     direction D, skew-adjoint when g is tagged U, and splits the pair
     at mid = left exp(step D/|D|) into X' = log(mid) and Y' = log(mid^-1
-    pair): one expm, one inverse and one ``mat_logs`` call for all trials.
+    pair): one expm, one inverse and one ``stacked_logs`` call for all
+    trials.  The round trip is left to the sweep, which pays it only for a
+    trial that shortens the objective.
 
-    Yields (t, X', Y', (exp X', exp Y') in flat form) in trial order for
-    each trial whose two logs are admitted.  A zero direction and a refused
-    log skip the trial; a failed exp(step D/|D|) raises when the search
-    reaches that trial, as it does on a trial-by-trial evaluation."""
+    Yields (t, [X', Y'], (logs, targets)) in trial order for each trial
+    whose two logs are admitted, where (logs, targets) are X', Y' and mid,
+    mid^-1 pair in flat form, the arguments of that trial's
+    ``round_trips``.  A zero direction and a refused log skip the trial; a
+    failed exp(step D/|D|) raises when the search reaches that trial, as it
+    does on a trial-by-trial evaluation."""
     algebra, n, unitary = g.algebra, g.n, g.group_tag == "U"
     directions = random_stack(algebra, n, count, rng)
     if unitary:
@@ -343,15 +366,15 @@ def _resplits(g, left, pair, step, count, rng):
     with np.errstate(over="ignore", invalid="ignore"):
         mids = left @ step_exps
         rests = _inverses(mids) @ pair
-    logs, exps, verdicts = mat_logs(algebra, n, np.concatenate([mids, rests]),
-                                    unitary)
+    logs, verdicts, targets = stacked_logs(
+        algebra, n, np.concatenate([mids, rests]), unitary)
     for t in np.flatnonzero(norms > 0):
         if step_failures[t] is not None:
             raise step_failures[t]
         if verdicts[t] is None and verdicts[count + t] is None:
-            yield (t, MatrixOverAlgebra.from_flat(algebra, n, logs[t]),
-                   MatrixOverAlgebra.from_flat(algebra, n, logs[count + t]),
-                   (exps[t], exps[count + t]))
+            both = [t, count + t]
+            yield (t, [MatrixOverAlgebra.from_flat(algebra, n, logs[u])
+                       for u in both], (logs[both], targets[both]))
 
 
 def _inverses(flats):
@@ -376,10 +399,12 @@ def _refine_factors(factors, g, objective, budget, rng):
     allow none.  exps, the flat exp(best[i]) as one array, is computed once
     per factor.
 
-    A pair's ``budget.trials`` trials are one stack (``_resplits``), judged
-    in order: the first that shortens the objective wins and keeps its
-    round-trip exponentials, and the generator is put back to just after the
-    accepted trial's draw."""
+    A pair's ``budget.trials`` trials take their logs as one stack
+    (``_resplits``) and are judged in order.  A trial pays its round trip
+    (``round_trips`` of its two logs) only once it shortens the objective;
+    the first that also passes it wins and keeps its round-trip
+    exponentials, and the generator is put back to just after the accepted
+    trial's draw."""
     best, best_val = list(factors), objective(factors)
     if len(best) < 2:
         return best, best_val
@@ -389,17 +414,21 @@ def _refine_factors(factors, g, objective, budget, rng):
         improved = False
         for i in range(len(best) - 1):
             state = rng.bit_generator.state
-            for t, x_new, y_new, round_trip in _resplits(
+            for t, pair, trip in _resplits(
                     g, exps[i], exps[i] @ exps[i + 1], step, budget.trials,
                     rng):
-                candidate = best[:i] + [x_new, y_new] + best[i + 2:]
+                candidate = best[:i] + pair + best[i + 2:]
                 val = objective(candidate)
-                if val < best_val - 1e-12:
-                    best, best_val, improved = candidate, val, True
-                    exps[i:i + 2] = round_trip
-                    rng.bit_generator.state = state
-                    random_stack(g.algebra, g.n, t + 1, rng)
-                    break
+                if not val < best_val - 1e-12:
+                    continue
+                round_trip, verdicts = round_trips(g.algebra, g.n, *trip)
+                if any(verdicts):  # an error is true, None is false
+                    continue
+                best, best_val, improved = candidate, val, True
+                exps[i:i + 2] = round_trip
+                rng.bit_generator.state = state
+                random_stack(g.algebra, g.n, t + 1, rng)
+                break
         if not improved:
             step *= 0.5
             if step < budget.min_step:
@@ -460,15 +489,23 @@ def _element_work(g, initial_factors):
     global _last_element
     g.check_finite()
     if initial_factors is not None:
-        return _initial_certificates(g, initial_factors), el_lower_bound(g), {}
+        return _new_work(g, initial_factors)
     data = g.matrix.data
     key = (g.algebra, g.n, g.group_tag, data.dtype.str, data.tobytes())
     last = _last_element
     if last is not None and last[0] == key:
         return last[1:]
-    work = _initial_certificates(g, None), el_lower_bound(g), {}
+    work = _new_work(g, None)
     _last_element = (key, *work)
     return work
+
+
+def _new_work(g, initial_factors):
+    """The pool, lower bound and empty certificate table of a finite g: one
+    principal log of g serves both the pool and the bound."""
+    single = _principal_log(g)
+    return (_initial_certificates(g, initial_factors, single),
+            _lower_bound(g, single), {})
 
 
 def _el_certificate(g, pool, lower, certificates, budget, seed):

@@ -193,7 +193,8 @@ def test_estimates_refuse_a_non_finite_element_before_any_log(
         raise AssertionError("a log was taken")
 
     monkeypatch.setattr(explength, "mat_log", refused)
-    monkeypatch.setattr(explength, "mat_logs", refused)
+    monkeypatch.setattr(explength, "stacked_logs", refused)
+    monkeypatch.setattr(explength, "round_trips", refused)
     with pytest.raises(ValueError, match="^entries must be finite$"):
         estimate(g)
 
@@ -231,7 +232,8 @@ def test_no_certificate_goes_below_the_unitary_lower_bound(kind, angle, seed):
     lower, _ = ll.el_lower_bound(g)
     assert lower >= ll.el_exact_unitary(g)
     budget = ll.EstimateBudget(restarts=1, iterations=3, trials=3)
-    for start in explength._initial_certificates(g, None):
+    for start in explength._initial_certificates(
+            g, None, explength._principal_log(g)):
         cert = ll.FactorizationCertificate.from_factors(start, g)
         assert explength.in_order(lower, cert.sum_of_norms)
         rng = np.random.default_rng(seed)
@@ -262,6 +264,19 @@ def test_a_closed_unitary_bracket_makes_no_refine_call(kind, refine_calls):
     assert bracket.lower_method == "unitary-log"
     assert bracket.lower == bracket.upper == ll.el_exact_unitary(g)
     assert refine_calls == []
+
+
+@pytest.mark.parametrize("kind", ["C", "M3", "path"])
+def test_the_pool_and_the_bound_share_one_principal_log(kind, monkeypatch):
+    g = u_tagged(kind, 2.0, np.random.default_rng(5))
+    monkeypatch.setattr(explength, "_last_element", None)
+    calls = []
+    monkeypatch.setattr(explength, "mat_log",
+                        lambda h: calls.append(h) or ll.mat_log(h))
+    bracket = ll.el_estimate(g, seed=1)
+    assert len(calls) == 1
+    assert bracket.lower_method == "unitary-log"
+    assert bracket.lower == ll.el_exact_unitary(g)
 
 
 def test_a_gl_element_still_makes_every_restart(refine_calls):

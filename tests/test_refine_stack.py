@@ -237,6 +237,68 @@ def test_a_failing_trial_before_any_accepted_one_raises(monkeypatch):
                                   budget, np.random.default_rng(0))
 
 
+def _recorded_round_trips(monkeypatch, fail_first=0):
+    """Record the stack size and verdicts of each round trip the sweep
+    takes; the first ``fail_first`` of them are made to fail."""
+    calls = []
+    trips = explength.round_trips
+
+    def recorded(alg, n, logs, targets):
+        exps, verdicts = trips(alg, n, logs, targets)
+        if len(calls) < fail_first:
+            verdicts[0] = ll.NumericFailureError("injected miss")
+        calls.append((len(logs), list(verdicts)))
+        return exps, verdicts
+
+    monkeypatch.setattr(explength, "round_trips", recorded)
+    return calls
+
+
+def test_each_accepted_re_split_takes_one_two_element_round_trip(
+        monkeypatch):
+    """With every trial shortening the objective, each pair visit accepts
+    its first trial: one round trip of two logs per accepted re-split, none
+    for the trials after it.  With no trial shortening it, none at all."""
+    g = acceptance.random_gl(2, np.random.default_rng(4))
+    x = ll.mat_log(g)
+    calls = _recorded_round_trips(monkeypatch)
+    budget = ll.EstimateBudget(iterations=3, trials=6)
+    factors = [x.scaled(0.25)] * 4
+    explength._refine_factors(factors, g, _always_shorter(), budget,
+                              np.random.default_rng(0))
+    assert calls == [(2, [None, None])] * (budget.iterations * 3)
+    calls.clear()
+    refined, _ = explength._refine_factors(factors, g, lambda f: 0.0, budget,
+                                           np.random.default_rng(0))
+    assert refined == factors and calls == []
+
+
+def test_a_failed_round_trip_passes_the_win_to_the_next_shorter_trial(
+        monkeypatch):
+    """The first shortening trial's round trip is made to fail: the next
+    shortening trial is accepted with its own logs, and the generator is
+    left just after its draw."""
+    g = acceptance.random_gl(2, np.random.default_rng(4))
+    x = ll.mat_log(g)
+    factors = [x.scaled(0.5)] * 2
+    budget = ll.EstimateBudget(iterations=1, trials=4)
+    exps = np.stack([ll.mat_exp(y).matrix.to_flat() for y in factors])
+    trials = list(explength._resplits(g, exps[0], exps[0] @ exps[1],
+                                      budget.init_step, budget.trials,
+                                      np.random.default_rng(0)))
+    assert [t for t, _, _ in trials] == [0, 1, 2, 3]
+    calls = _recorded_round_trips(monkeypatch, fail_first=1)
+    rng = np.random.default_rng(0)
+    refined, _ = explength._refine_factors(factors, g, _always_shorter(),
+                                           budget, rng)
+    assert [verdicts[0] is None for _, verdicts in calls] == [False, True]
+    assert [y.data.tobytes() for y in refined] == [
+        y.data.tobytes() for y in trials[1][1]]
+    after_two = np.random.default_rng(0)
+    algebra.random_stack(g.algebra, g.n, 2, after_two)
+    assert rng.bit_generator.state == after_two.bit_generator.state
+
+
 def test_a_singular_slice_inverts_to_nan_alone():
     rng = np.random.default_rng(1)
     stack = rng.standard_normal((3, 2, 2))
