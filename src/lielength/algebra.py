@@ -562,10 +562,10 @@ def spectral(values, vecs):
     return (vecs * values[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-# Eigenvector condition number below which a non-unitary log is taken as
+# The eigenvector condition number from which a non-unitary log leaves
 # V diag(log w) V^{-1}, whose error grows with cond(V) (Higham, Functions of
-# Matrices, SIAM 2008, ch. 4).  Slices above it, defective ones included, go
-# to the inverse scaling and squaring of scipy.linalg.logm.
+# Matrices, SIAM 2008, ch. 4), for the inverse scaling and squaring of
+# scipy.linalg.logm: the rule is ``_eig_logs``'.
 EIG_LOG_MAX_COND = 1e6
 
 
@@ -573,12 +573,19 @@ def _eig_logs(stack, w, v):
     """Principal logs of a stack of plain square matrices, given their
     eigenvalues w, which avoid 0 and the closed negative real axis, and
     eigenvectors v: V diag(log w) V^{-1} where cond(V) < EIG_LOG_MAX_COND,
-    scipy's logm on the other slices."""
+    scipy's logm on the other slices.
+
+    This is the one conditioning rule of a non-unitary log: cond(V) is the
+    2-norm condition number ``np.linalg.cond`` gives, and the decision is
+    the one it makes.  Since cond(V) <= |V|_F |V^{-1}|_F (for n = 2 the
+    bound is cond + 1/cond), a slice whose bound, from one inverse of the
+    stack, lies below half of EIG_LOG_MAX_COND is taken with no SVD: the
+    factor 2 stands far above the rounding of both the bound and the SVD
+    at that size.  ``np.linalg.cond`` judges the others, and the whole
+    stack when one V is singular."""
     logs = np.empty(stack.shape, dtype=np.complex128)
-    by_eig = np.linalg.cond(v) < EIG_LOG_MAX_COND
-    v_eig = v[by_eig]
-    logs[by_eig] = ((v_eig * np.log(w[by_eig])[:, None, :])
-                    @ np.linalg.inv(v_eig))
+    by_eig, inverses = _well_conditioned(v)
+    logs[by_eig] = (v[by_eig] * np.log(w[by_eig])[:, None, :]) @ inverses
     for i in np.flatnonzero(~by_eig):  # ill-conditioned or defective
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -589,6 +596,25 @@ def _eig_logs(stack, w, v):
             # as a log that did not converge.
             logs[i] = np.nan
     return logs
+
+
+def _well_conditioned(v):
+    """(by_eig, inverses): per V of a stack, whether
+    ``np.linalg.cond(V) < EIG_LOG_MAX_COND``, and V^{-1} of each V where it
+    holds, by the rule of ``_eig_logs``."""
+    try:
+        inverses = np.linalg.inv(v)
+    except np.linalg.LinAlgError:  # a singular V: every slice goes by SVD
+        by_eig = np.linalg.cond(v) < EIG_LOG_MAX_COND
+        return by_eig, np.linalg.inv(v[by_eig])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (np.linalg.norm(v, axis=(-2, -1))
+                 * np.linalg.norm(inverses, axis=(-2, -1)))
+    by_eig = bound < EIG_LOG_MAX_COND / 2
+    rest = ~by_eig
+    if rest.any():
+        by_eig[rest] = np.linalg.cond(v[rest]) < EIG_LOG_MAX_COND
+    return by_eig, inverses[by_eig]
 
 
 def _unitary_logs(stack, per):
@@ -755,10 +781,10 @@ def mat_exps(algebra, n, flats):
 
 
 def stacked_logs(algebra, n, flats, unitary):
-    """The log stage of ``mat_logs``: the principal log of each element of
-    a stack given in flat form, shape (m,) + the ``stack_to_flat`` shape,
-    with every refusal of ``mat_log`` that comes before its round trip, the
-    refusal of non-finite input included.
+    """The principal log of each element of a stack given in flat form,
+    shape (m,) + the ``stack_to_flat`` shape, with every refusal of
+    ``mat_log`` that comes before its round trip, the refusal of non-finite
+    input included; ``round_trips`` takes the rest of its checks.
 
     ``unitary`` says every element is tagged U; otherwise each one is
     tested as ``GroupElement.is_unitary`` tests it.  Returns (logs,
@@ -785,33 +811,16 @@ def stacked_logs(algebra, n, flats, unitary):
 
 
 def round_trips(algebra, n, logs, targets):
-    """The round-trip stage of ``mat_logs``: ``mat_exps`` of a stack of
-    logs in flat form, and the refusal of each log whose exponential
-    misses its target g by more than 1e-9 (1 + |g|).  Returns (exps,
-    verdicts) as ``mat_exps`` does."""
+    """The round trip of ``mat_log`` over a stack: ``mat_exps`` of logs in
+    flat form, and the refusal of each log whose exponential misses its
+    target g by more than 1e-9 (1 + |g|).  Returns (exps, verdicts) as
+    ``mat_exps`` does."""
     exps, verdicts = mat_exps(algebra, n, logs)
     data = stack_from_flat(algebra, n, targets)
     err = op_norms(algebra.norm(stack_from_flat(algebra, n, exps) - data))
     _refuse(verdicts, _misses_round_trip(err, op_norms(algebra.norm(data))),
             lambda t: _round_trip_error(err[t]))
     return exps, verdicts
-
-
-def mat_logs(algebra, n, flats, unitary):
-    """``mat_log`` of each element of a stack given in flat form, element
-    by element: ``stacked_logs``, then ``round_trips`` of every log, with
-    every check of ``mat_log`` at its tolerances.
-
-    Returns (logs, exps, verdicts): the logs and their round-trip
-    exponentials in flat form, and per element None when its log is
-    admitted, or else the error of its first failed check.  The refine
-    sweep calls the two stages itself: a re-split trial pays its round trip
-    only once it shortens the objective.
-    """
-    logs, verdicts, targets = stacked_logs(algebra, n, flats, unitary)
-    exps, trip_verdicts = round_trips(algebra, n, logs, targets)
-    return logs, exps, [v if v is not None else e
-                        for v, e in zip(verdicts, trip_verdicts)]
 
 
 # ---------------------------------------------------------------------------

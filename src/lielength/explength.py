@@ -13,8 +13,11 @@ always tied to the norm of the ambient matrix algebra.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -342,15 +345,17 @@ def _resplits(g, left, pair, step, count, rng):
     direction D, skew-adjoint when g is tagged U, and splits the pair
     at mid = left exp(step D/|D|) into X' = log(mid) and Y' = log(mid^-1
     pair): one expm, one inverse and one ``stacked_logs`` call for all
-    trials.  The round trip is left to the sweep, which pays it only for a
-    trial that shortens the objective.
+    trials.
 
-    Yields (t, [X', Y'], (logs, targets)) in trial order for each trial
-    whose two logs are admitted, where (logs, targets) are X', Y' and mid,
-    mid^-1 pair in flat form, the arguments of that trial's
-    ``round_trips``.  A zero direction and a refused log skip the trial; a
-    failed exp(step D/|D|) raises when the search reaches that trial, as it
-    does on a trial-by-trial evaluation."""
+    Returns (logs, targets, trials).  logs holds X' of every trial, then Y'
+    of every trial, in flat form, and targets holds mid and mid^-1 pair in
+    the same order: trial t's two rows are t and count + t, the arguments
+    of its ``round_trips``.  trials lists in trial order (t, failure) for
+    each trial the sweep may reach: its two logs are admitted, and failure
+    is None, or exp(step D/|D|) failed, and failure is that error, which
+    the sweep raises when it reaches the trial, as a trial-by-trial
+    evaluation does.  A zero direction and a refused log leave the trial
+    out.  The logs of a refused trial are finite and mean nothing."""
     algebra, n, unitary = g.algebra, g.n, g.group_tag == "U"
     directions = random_stack(algebra, n, count, rng)
     if unitary:
@@ -368,13 +373,10 @@ def _resplits(g, left, pair, step, count, rng):
         rests = _inverses(mids) @ pair
     logs, verdicts, targets = stacked_logs(
         algebra, n, np.concatenate([mids, rests]), unitary)
-    for t in np.flatnonzero(norms > 0):
-        if step_failures[t] is not None:
-            raise step_failures[t]
-        if verdicts[t] is None and verdicts[count + t] is None:
-            both = [t, count + t]
-            yield (t, [MatrixOverAlgebra.from_flat(algebra, n, logs[u])
-                       for u in both], (logs[both], targets[both]))
+    trials = [(t, step_failures[t]) for t in np.flatnonzero(norms > 0)
+              if step_failures[t] is not None
+              or (verdicts[t] is None and verdicts[count + t] is None)]
+    return logs, targets, trials
 
 
 def _inverses(flats):
@@ -399,35 +401,53 @@ def _refine_factors(factors, g, objective, budget, rng):
     allow none.  exps, the flat exp(best[i]) as one array, is computed once
     per factor.
 
-    A pair's ``budget.trials`` trials take their logs as one stack
-    (``_resplits``) and are judged in order.  A trial pays its round trip
-    (``round_trips`` of its two logs) only once it shortens the objective;
-    the first that also passes it wins and keeps its round-trip
-    exponentials, and the generator is put back to just after the accepted
-    trial's draw."""
+    A pair's ``budget.trials`` trials are one stack (``_resplits``), and so
+    are their values: for ``_sum_norms`` and ``_norm_of_sum`` one norm call
+    on the stacked logs gives the objective of every trial's candidate,
+    equal bit for bit to ``objective`` of it (see ``_Summed``); any other
+    objective is called on each candidate.  The trials are then judged in
+    order.  A trial pays its round trip (``round_trips`` of its two logs)
+    only once it shortens the objective; the first that also passes it
+    wins, its logs become factors and its round-trip exponentials their
+    exps, and the generator is put back to just after its draw."""
     best, best_val = list(factors), objective(factors)
     if len(best) < 2:
         return best, best_val
+    algebra, n, count = g.algebra, g.n, budget.trials
+    summed = _SUMMED.get(objective)
+    if summed is not None:
+        terms = [summed.term(algebra, x.data) for x in best]
     exps = np.stack([mat_exp(x).matrix.to_flat() for x in best])
     step = budget.init_step
     for _ in range(budget.iterations):
         improved = False
         for i in range(len(best) - 1):
             state = rng.bit_generator.state
-            for t, pair, trip in _resplits(
-                    g, exps[i], exps[i] @ exps[i + 1], step, budget.trials,
-                    rng):
-                candidate = best[:i] + pair + best[i + 2:]
-                val = objective(candidate)
-                if not val < best_val - 1e-12:
+            logs, targets, trials = _resplits(
+                g, exps[i], exps[i] @ exps[i + 1], step, count, rng)
+            if summed is not None:
+                values, trial_terms = summed.trial_values(algebra, n, terms,
+                                                          i, logs)
+            else:
+                values = [objective(best[:i] + _factors(g, logs, [t, count + t])
+                                    + best[i + 2:]) for t in range(count)]
+            for t, failure in trials:
+                if failure is not None:
+                    raise failure
+                if not values[t] < best_val - 1e-12:
                     continue
-                round_trip, verdicts = round_trips(g.algebra, g.n, *trip)
+                both = [t, count + t]
+                round_trip, verdicts = round_trips(algebra, n, logs[both],
+                                                   targets[both])
                 if any(verdicts):  # an error is true, None is false
                     continue
-                best, best_val, improved = candidate, val, True
+                best[i:i + 2] = _factors(g, logs, both)
+                best_val, improved = float(values[t]), True
+                if summed is not None:
+                    terms[i:i + 2] = trial_terms[both]
                 exps[i:i + 2] = round_trip
                 rng.bit_generator.state = state
-                random_stack(g.algebra, g.n, t + 1, rng)
+                random_stack(algebra, n, t + 1, rng)
                 break
         if not improved:
             step *= 0.5
@@ -436,12 +456,51 @@ def _refine_factors(factors, g, objective, budget, rng):
     return best, best_val
 
 
+def _factors(g, logs, rows):
+    """The rows of a stack of logs of g in flat form, as factors."""
+    return [MatrixOverAlgebra.from_flat(g.algebra, g.n, logs[u]) for u in rows]
+
+
 def _sum_norms(factors):
     return float(sum(x.op_norm() for x in factors))
 
 
 def _norm_of_sum(factors):
     return sum(factors[1:], factors[0]).op_norm()
+
+
+@dataclass(frozen=True)
+class _Summed:
+    """An objective of factors f_0, ..., f_m written as value(term(f_0) +
+    ... + term(f_m)), summed left to right as ``sum`` sums.  ``term`` maps
+    the data of one factor, or of a stack of factors along a leading axis,
+    to its terms, and ``value`` maps a sum, or a stack of sums, to values:
+    a candidate whose pair is a stack of trials thus gets the value of
+    each trial, bit for bit that of the candidate alone, since every float
+    operation is the same elementwise."""
+
+    term: Callable
+    value: Callable
+
+    def trial_values(self, algebra, n, terms, i, logs):
+        """(values, trial_terms): given the terms of the factors and the
+        logs of ``_resplits`` for the pair at i, the value of each trial's
+        candidate, the factors with the pair replaced by that trial's X',
+        Y', and the terms of the logs, in their order."""
+        trial_terms = self.term(algebra, stack_from_flat(algebra, n, logs))
+        count = len(logs) // 2
+        total = functools.reduce(operator.add, terms[:i] + [
+            trial_terms[:count], trial_terms[count:]] + terms[i + 2:])
+        return self.value(algebra, total), trial_terms
+
+
+# The objectives whose trial values ``_refine_factors`` takes as one stack.
+_SUMMED = {
+    _sum_norms: _Summed(lambda algebra, data: op_norms(algebra.norm(data)),
+                        lambda algebra, total: total),
+    _norm_of_sum: _Summed(lambda algebra, data: data,
+                          lambda algebra, sums: op_norms(algebra.norm(sums))),
+}
 
 
 def _search(g, pool, objective, budget, seed, lower):

@@ -180,13 +180,14 @@ def test_mat_logs_refuses_a_non_finite_element_as_mat_log_does(alg, entries):
     bad = ll.GroupElement(ll.MatrixOverAlgebra(alg, np.array(entries)), "GL",
                           validate=False)
     good = ll.MatrixOverAlgebra(alg, np.diag([2.0, 3.0]))
-    logs, _, verdicts = algebra.mat_logs(
+    logs, verdicts, targets = algebra.stacked_logs(
         alg, 2, np.stack([bad.matrix.to_flat(), good.to_flat()]), False)
+    _, trips = algebra.round_trips(alg, 2, logs, targets)
     with pytest.raises(ll.NumericFailureError) as raised:
         ll.mat_log(bad)
     assert type(verdicts[0]) is type(raised.value)
     assert str(verdicts[0]) == str(raised.value)
-    assert verdicts[1] is None
+    assert verdicts[1] is None and trips[1] is None
     expected = ll.mat_log(ll.GroupElement(good, "GL")).to_flat()
     assert np.array_equal(logs[1], expected)
 
@@ -206,13 +207,14 @@ def test_mat_logs_refuses_only_the_real_element_with_no_real_log():
     alg = ll.scalar_real()
     quarter = ll.MatrixOverAlgebra(alg, np.array([[0.0, -1.0], [1.0, 0.0]]))
     minus = ll.MatrixOverAlgebra(alg, -np.eye(2))
-    logs, _, verdicts = algebra.mat_logs(
+    logs, verdicts, targets = algebra.stacked_logs(
         alg, 2, np.stack([minus.to_flat(), quarter.to_flat()]), False)
+    _, trips = algebra.round_trips(alg, 2, logs, targets)
     with pytest.raises(ll.SpectrumOnCutError) as raised:
         ll.mat_log(ll.GroupElement(minus, "GL"))
     assert type(verdicts[0]) is type(raised.value)
     assert str(verdicts[0]) == str(raised.value)
-    assert verdicts[1] is None
+    assert verdicts[1] is None and trips[1] is None
     alone = ll.mat_log(ll.GroupElement(quarter, "GL")).to_flat()
     assert logs[1].tobytes() == alone.tobytes()
 
@@ -284,6 +286,66 @@ def test_defective_slice_takes_the_logm_fallback(logm_inputs):
     for v in (0, 2):
         expected = scipy.linalg.logm(data[:, :, v])
         assert np.max(np.abs(log.data[:, :, v] - expected)) <= 1e-12
+
+
+def _eig_logs_by_svd(stack, w, v):
+    """``algebra._eig_logs`` with the condition number of every slice
+    taken by SVD: the rule the Frobenius bound must reproduce."""
+    logs = np.empty(stack.shape, dtype=np.complex128)
+    by_eig = np.linalg.cond(v) < algebra.EIG_LOG_MAX_COND
+    v_eig = v[by_eig]
+    logs[by_eig] = ((v_eig * np.log(w[by_eig])[:, None, :])
+                    @ np.linalg.inv(v_eig))
+    for i in np.flatnonzero(~by_eig):
+        logs[i] = scipy.linalg.logm(stack[i])
+    return logs, by_eig
+
+
+def _near_the_bound():
+    """2x2 eigenvector matrices whose cond lies within 1e-9 of
+    EIG_LOG_MAX_COND, on either side of it."""
+    bound = algebra.EIG_LOG_MAX_COND
+    small = 1.0 / bound
+    out = []
+    for _ in range(12):
+        small = np.nextafter(small, 0.0)
+    for _ in range(24):
+        for v in (np.diag([1.0, small]), np.array([[0.0, small], [1.0, 0.0]])):
+            if abs(np.linalg.cond(v) - bound) <= 1e-9:
+                out.append(v)
+        small = np.nextafter(small, 1.0)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["well conditioned", "near the bound",
+                                  "one singular V"])
+def test_the_frobenius_bound_makes_the_decision_of_cond(case, monkeypatch):
+    """Each slice goes by eig exactly where ``np.linalg.cond(V)`` is below
+    EIG_LOG_MAX_COND, and the logs are the bytes of judging every slice by
+    SVD.  A well-conditioned stack takes no SVD at all."""
+    rng = np.random.default_rng(5)
+    well = np.linalg.eig(rng.standard_normal((6, 3, 3)) + 4 * np.eye(3))[1]
+    v = {"well conditioned": well,
+         "near the bound": _near_the_bound(),
+         "one singular V": np.stack([np.eye(2), [[1.0, 1.0], [0.0, 0.0]],
+                                     [[2.0, 1.0], [1.0, 1.0]]])}[case]
+    w = np.exp(1j * rng.uniform(-2, 2, v.shape[:2])) * rng.uniform(
+        0.5, 2.0, v.shape[:2])
+    stack = np.array([[[2.0, 1.0], [0.0, 2.0]] if np.linalg.matrix_rank(m)
+                      < len(m) else (m * ww) @ np.linalg.inv(m)
+                      for m, ww in zip(v, w)])
+    expected, by_eig = _eig_logs_by_svd(stack, w, v)
+    if case == "near the bound":
+        assert by_eig.any() and not by_eig.all()
+    if case == "one singular V":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(v)
+    if case == "well conditioned":
+        assert by_eig.all()
+        monkeypatch.setattr(np.linalg, "cond", None)  # no SVD is taken
+    got_by_eig, _ = algebra._well_conditioned(v)
+    assert np.array_equal(got_by_eig, by_eig)
+    assert algebra._eig_logs(stack, w, v).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("first, message", [

@@ -112,6 +112,35 @@ def test_stacked_trials_follow_the_trial_by_trial_search(kind, trials,
     assert len(got) == len(factors)
 
 
+@pytest.mark.parametrize("objective", [explength._sum_norms,
+                                       explength._norm_of_sum],
+                         ids=["sum_norms", "norm_of_sum"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_trial_values_are_the_objective_of_each_candidate(
+        kind, objective):
+    """The value of every trial of a pair, from the stacked logs, is the
+    objective of that trial's candidate bit for bit, with the pair first,
+    in the middle and last, over factors of unequal norms."""
+    g, factors = _case(kind, np.random.default_rng(7))
+    x = sum(factors[1:], factors[0])
+    best = [x.scaled(a) for a in (0.1, 0.6, 0.05, 0.25)]
+    summed = explength._SUMMED[objective]
+    terms = [summed.term(g.algebra, y.data) for y in best]
+    exps = np.stack([ll.mat_exp(y).matrix.to_flat() for y in best])
+    count = 5
+    for i in (0, 1, 2):
+        logs, _, trials = explength._resplits(
+            g, exps[i], exps[i] @ exps[i + 1], 0.25, count,
+            np.random.default_rng(i))
+        assert trials
+        values, _ = summed.trial_values(g.algebra, g.n, terms, i, logs)
+        for t in range(count):
+            pair = [ll.MatrixOverAlgebra.from_flat(g.algebra, g.n, logs[u])
+                    for u in (t, count + t)]
+            alone = objective(best[:i] + pair + best[i + 2:])
+            assert float(values[t]).hex() == alone.hex()
+
+
 @pytest.mark.parametrize("alg, n", [
     (ll.scalar_complex(), 2), (ll.scalar_real(), 3), (ll.matrix_algebra(3), 2),
     (ll.function_algebra(4, [(0, 1)]), 2)], ids=lambda a: getattr(a, "kind", ""))
@@ -164,9 +193,11 @@ def test_a_trial_on_the_cut_refuses_only_itself(alg):
             data = np.asarray(v)[(...,) + (None,) * len(alg.value_shape())]
             elements.append(ll.MatrixOverAlgebra(
                 alg, np.broadcast_to(data, (2, 2) + alg.value_shape())))
-    logs, exps, verdicts = algebra.mat_logs(alg, 2, _flats(elements),
-                                           unitary=False)
+    logs, verdicts, targets = algebra.stacked_logs(alg, 2, _flats(elements),
+                                                   unitary=False)
+    exps, trips = algebra.round_trips(alg, 2, logs, targets)
     assert [v is None for v in verdicts] == [True, True, False, True, True]
+    assert [trips[t] for t in (0, 1, 3, 4)] == [None] * 4
     assert isinstance(verdicts[2], ll.SpectrumOnCutError)
     assert "negative real axis" in str(verdicts[2])
     for t in (0, 1, 3, 4):
@@ -182,9 +213,10 @@ def test_stacked_log_gives_the_reason_mat_log_gives():
     elements = [np.diag([0.0, 1.0]), np.diag([-2.0, 1.0]),
                 np.array([[0.0, -1.0], [1.0, 0.0]]) * 1.2]
     overflowed = np.array([[np.inf, 0.0], [0.0, 1.0]])
-    _, _, verdicts = algebra.mat_logs(
+    logs, verdicts, targets = algebra.stacked_logs(
         alg, 2, np.stack(elements + [overflowed]), False)
-    assert verdicts[2] is None
+    _, trips = algebra.round_trips(alg, 2, logs, targets)
+    assert verdicts[2] is None and trips[2] is None
     assert isinstance(verdicts[3], ll.NumericFailureError)
     for m, verdict in zip(elements[:2], verdicts):
         g = ll.GroupElement(ll.MatrixOverAlgebra(alg, m), "GL", validate=False)
@@ -283,17 +315,18 @@ def test_a_failed_round_trip_passes_the_win_to_the_next_shorter_trial(
     factors = [x.scaled(0.5)] * 2
     budget = ll.EstimateBudget(iterations=1, trials=4)
     exps = np.stack([ll.mat_exp(y).matrix.to_flat() for y in factors])
-    trials = list(explength._resplits(g, exps[0], exps[0] @ exps[1],
-                                      budget.init_step, budget.trials,
-                                      np.random.default_rng(0)))
-    assert [t for t, _, _ in trials] == [0, 1, 2, 3]
+    logs, _, trials = explength._resplits(g, exps[0], exps[0] @ exps[1],
+                                          budget.init_step, budget.trials,
+                                          np.random.default_rng(0))
+    assert trials == [(t, None) for t in range(4)]
     calls = _recorded_round_trips(monkeypatch, fail_first=1)
     rng = np.random.default_rng(0)
     refined, _ = explength._refine_factors(factors, g, _always_shorter(),
                                            budget, rng)
     assert [verdicts[0] is None for _, verdicts in calls] == [False, True]
     assert [y.data.tobytes() for y in refined] == [
-        y.data.tobytes() for y in trials[1][1]]
+        ll.MatrixOverAlgebra.from_flat(g.algebra, g.n, logs[u]).data.tobytes()
+        for u in (1, budget.trials + 1)]
     after_two = np.random.default_rng(0)
     algebra.random_stack(g.algebra, g.n, 2, after_two)
     assert rng.bit_generator.state == after_two.bit_generator.state
