@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 DEFAULT_TOL = 1e-9
 
@@ -524,9 +525,59 @@ def _round_trip_error(err):
     return NumericFailureError(f"exp(log g) missed g by {err:.3g}")
 
 
+@cache
+def _band_columns(n):
+    """Two columns over the entries of a flattened n x n slice: its strictly
+    lower and its strictly upper triangle."""
+    lower = np.tri(n, k=-1, dtype=bool)
+    return read_only(np.stack([lower.ravel(), lower.T.ravel()], axis=1))
+
+
+def _expm(a):
+    """``scipy.linalg.expm(a)`` of a float64 or complex128 stack (..., n, n),
+    byte for byte, with less Python per slice.
+
+    This is the loop of scipy 1.17's ``scipy.linalg._matfuncs.expm``, the
+    scaling and squaring method of Al-Mohy and Higham (SIAM J. Matrix Anal.
+    Appl. 31, 2009), over scipy's own Cython kernels.  One band mask sorts
+    the slices.  Diagonal and triangular ones go to ``scipy.linalg.expm`` in
+    one call, so its special branches stay the only copy.  Each generic
+    slice takes ``pick_pade_structure`` and ``pade_UV_calc``, then its s
+    squarings, stacked level by level.  A slice
+    the kernels fail on goes back to ``scipy.linalg.expm``, which raises
+    its own error.  The workspace is the call's own, so concurrent calls
+    need no lock."""
+    if a.shape[-1] < 2:
+        return scipy.linalg.expm(a)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    band = (stack != 0).reshape(len(stack), -1) @ _band_columns(a.shape[-1])
+    generic = band[:, 0] & band[:, 1]
+    rows = np.flatnonzero(generic)
+    out = np.empty_like(stack)
+    if len(rows) < len(stack):
+        out[~generic] = scipy.linalg.expm(stack[~generic])
+    squarings = []
+    work = np.empty((5,) + a.shape[-2:], dtype=a.dtype)
+    for row in rows.tolist():
+        work[0] = stack[row]
+        m, s = pick_pade_structure(work)
+        if m < 0 or pade_UV_calc(work, m) != 0:
+            out[row] = scipy.linalg.expm(stack[row])
+            s = 0
+        else:
+            out[row] = work[0]
+        squarings.append(s)
+    for level in range(1, max(squarings, default=0) + 1):
+        due = rows[np.asarray(squarings) >= level]
+        out[due] = out[due] @ out[due]
+    return out.reshape(a.shape)
+
+
 def mat_exp(x):
-    """exp(X) as a GL group element.  Verifies |exp(X)| <= e^{|X|}."""
-    flat = scipy.linalg.expm(x.to_flat())
+    """exp(X) as a GL group element, by ``_expm`` over the flat form (one
+    slice per vertex for a function algebra).  Verifies |exp(X)| <=
+    e^{|X|}."""
+    flat = _expm(x.to_flat())
     if not np.all(np.isfinite(flat)):
         raise NumericFailureError(_EXP_NOT_FINITE)
     mat = MatrixOverAlgebra.from_flat(x.algebra, x.n, flat)
@@ -766,7 +817,7 @@ def mat_exps(algebra, n, flats):
     """
     count = len(flats)
     verdicts = [None] * count
-    exps = scipy.linalg.expm(flats)
+    exps = _expm(flats)
     finite = np.isfinite(exps).reshape(count, -1).all(axis=-1)
     if not finite.all():
         _refuse(verdicts, ~finite,

@@ -503,46 +503,70 @@ _SUMMED = {
 }
 
 
-def _search(g, pool, objective, budget, seed, lower):
-    """The certificate of least objective, among the pool and its
-    ``budget.restarts`` refined starts, that meets the residual gate.  When
-    the pool's best meets the gate and reaches ``lower``, a lower bound of
-    the objective (``in_order``), nothing can beat it: it is returned with
-    no restart."""
-    candidates = sorted(((objective(f), f) for f in pool), key=lambda t: t[0])
+def _search(g, work, objective, budget, seed, lower):
+    """The certificate of least objective, among the pool of the element's
+    ``_Work`` and its ``budget.restarts`` refined starts, that meets the
+    residual gate.  When the pool's best meets the gate and reaches
+    ``lower``, a lower bound of the objective (``in_order``), nothing can
+    beat it: it is returned with no restart."""
+    pool = work.pool
+    candidates = sorted(((objective(f), i) for i, f in enumerate(pool)),
+                        key=lambda t: t[0])
     gate = admissible_residual(g.matrix.op_norm())
     if in_order(candidates[0][0], lower):
-        cert = FactorizationCertificate.from_factors(candidates[0][1], g)
+        cert = work.pool_certificate(g, candidates[0][1])
         if cert.residual <= gate:
             return cert
-    results = list(candidates)
+    results = [(val, functools.partial(work.pool_certificate, g, i))
+               for val, i in candidates]
     if budget.optimize:
         for restart in range(budget.restarts):
             rng = np.random.default_rng([seed, restart])
-            start = candidates[min(restart, len(candidates) - 1)][1]
+            start = pool[candidates[min(restart, len(candidates) - 1)][1]]
             refined, val = _refine_factors(start, g, objective, budget, rng)
-            results.append((val, refined))
+            results.append((val, functools.partial(
+                FactorizationCertificate.from_factors, refined, g)))
     results.sort(key=lambda t: t[0])
-    for val, factors in results:
-        cert = FactorizationCertificate.from_factors(factors, g)
+    for val, certify in results:
+        cert = certify()
         if cert.residual <= gate:
             return cert
     raise NoFactorizationError("no certificate met the residual tolerance")
 
 
+@dataclass
+class _Work:
+    """What the estimates of one element share: its pool, one certificate
+    per pool entry (None until a search certifies it), its
+    ``el_lower_bound`` (value, method), and its el certificates by
+    (budget, seed)."""
+
+    pool: list
+    lower: tuple
+    pool_certificates: list
+    el_certificates: dict
+
+    def pool_certificate(self, g, i):
+        """The certificate of pool entry i, made on first use."""
+        cert = self.pool_certificates[i]
+        if cert is None:
+            cert = FactorizationCertificate.from_factors(self.pool[i], g)
+            self.pool_certificates[i] = cert
+        return cert
+
+
 # The work kept for the last element asked without initial factors: (key,
-# pool, el lower bound, el certificates by (budget, seed)).  One entry,
-# replaced by one assignment, so memory stays bounded and each reader works
-# on its own reference: two threads on two elements only miss.
+# ``_Work``).  One entry, replaced by one assignment, so memory stays
+# bounded and each reader works on its own reference: two threads on two
+# elements only miss.
 _last_element = None
 
 
 def _element_work(g, initial_factors):
-    """The pool of g, its ``el_lower_bound`` and its el certificates by
-    (budget, seed).  Without initial factors all three are kept for the
-    last element asked, and reused when g has its value: the key is the
-    algebra, n, the group tag, the dtype and the entry bytes, so writing
-    through the caller's array is a miss.  An element whose pool raises
+    """The ``_Work`` of g.  Without initial factors it is kept for the last
+    element asked, and reused when g has its value: the key is the algebra,
+    n, the group tag, the dtype and the entry bytes, so writing through the
+    caller's array is a miss.  An element whose pool raises
     ``NoFactorizationError`` is not kept, so it raises on every call, and
     one with a non-finite entry is refused before any log."""
     global _last_element
@@ -553,27 +577,27 @@ def _element_work(g, initial_factors):
     key = (g.algebra, g.n, g.group_tag, data.dtype.str, data.tobytes())
     last = _last_element
     if last is not None and last[0] == key:
-        return last[1:]
+        return last[1]
     work = _new_work(g, None)
-    _last_element = (key, *work)
+    _last_element = (key, work)
     return work
 
 
 def _new_work(g, initial_factors):
-    """The pool, lower bound and empty certificate table of a finite g: one
+    """The ``_Work`` of a finite g, with nothing certified yet: one
     principal log of g serves both the pool and the bound."""
     single = _principal_log(g)
-    return (_initial_certificates(g, initial_factors, single),
-            _lower_bound(g, single), {})
+    pool = _initial_certificates(g, initial_factors, single)
+    return _Work(pool, _lower_bound(g, single), [None] * len(pool), {})
 
 
-def _el_certificate(g, pool, lower, certificates, budget, seed):
-    """The el search's certificate on the pool, run once per (budget, seed);
-    ``lower`` is the value of the element's ``el_lower_bound``."""
-    cert = certificates.get((budget, seed))
+def _el_certificate(g, work, budget, seed):
+    """The el search's certificate on the element's work, run once per
+    (budget, seed)."""
+    cert = work.el_certificates.get((budget, seed))
     if cert is None:
-        cert = _search(g, pool, _sum_norms, budget, seed, lower)
-        certificates[budget, seed] = cert
+        cert = _search(g, work, _sum_norms, budget, seed, work.lower[0])
+        work.el_certificates[budget, seed] = cert
     return cert
 
 
@@ -582,16 +606,17 @@ def el_estimate(g, budget=None, seed=0):
 
     Deterministic for a fixed seed; the certificate witnessing the upper
     bound is returned inside the bracket.  ``el_estimate`` and
-    ``rel_estimate`` share one pool and one el search per element: asked of
-    the same element one after the other, the second call builds no pool
-    and, for the same budget and seed, runs no el search.  Bracket and
-    certificate are new objects on every call, and the certificate's target
-    is g itself.
+    ``rel_estimate`` share one pool, its certificates and one el search per
+    element: asked of the same element one after the other, the second call
+    builds no pool, certifies no pool entry again and, for the same budget
+    and seed, runs no el search.  Bracket and certificate are new objects
+    on every call, and the certificate's target is g itself.
     """
     budget = budget or EstimateBudget()
-    pool, (lower, method), certificates = _element_work(g, None)
-    cert = _el_certificate(g, pool, lower, certificates, budget, seed)
+    work = _element_work(g, None)
+    cert = _el_certificate(g, work, budget, seed)
     cert = replace(cert, factors=list(cert.factors), target=g)
+    lower, method = work.lower
     return ElBracket(lower, cert.sum_of_norms, cert, method)
 
 
@@ -601,15 +626,14 @@ def rel_estimate(g, budget=None, seed=0, initial_factors=None):
     that wins the el objective (so rel <= el upper holds on the shared
     pool).  Both searches start from one pool, which, without
     ``initial_factors``, is the pool ``el_estimate`` uses for the same
-    element; its el search is shared with ``el_estimate`` too.  The rel
-    search stops early only at 0: |log u| is not proven to bound
-    |sum X_i| from below."""
+    element; its certificates and its el search are shared with
+    ``el_estimate`` too.  The rel search stops early only at 0: |log u| is
+    not proven to bound |sum X_i| from below."""
     budget = budget or EstimateBudget()
-    pool, (lower, _), certificates = _element_work(g, initial_factors)
-    value = _search(g, pool, _norm_of_sum, budget, seed, 0.0).norm_of_sum
+    work = _element_work(g, initial_factors)
+    value = _search(g, work, _norm_of_sum, budget, seed, 0.0).norm_of_sum
     if budget.optimize:
-        el_cert = _el_certificate(g, pool, lower, certificates, budget, seed)
-        value = min(value, el_cert.norm_of_sum)
+        value = min(value, _el_certificate(g, work, budget, seed).norm_of_sum)
     return value
 
 

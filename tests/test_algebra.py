@@ -125,6 +125,41 @@ def test_mat_exp_nilpotent_matches_direct_product():
     assert ((h @ h).matrix - g.matrix).op_norm() <= 1e-12
 
 
+def _banded(kind, a):
+    """The slice a cut to the band of one kind of ``scipy.linalg.expm``."""
+    return {"generic": a, "diagonal": np.diag(np.diag(a)),
+            "upper": np.triu(a), "lower": np.tril(a)}[kind]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.integers(1, 6), st.sampled_from([(), (1,), (2,), (7,), (3, 1), (2, 5)]),
+       st.lists(st.sampled_from(["generic", "diagonal", "upper", "lower"]),
+                min_size=1, max_size=6),
+       st.sampled_from([np.float64, np.complex128]), st.floats(-8.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_expm_is_scipys_expm_byte_for_byte(n, lead, kinds, dtype, exponent,
+                                           seed):
+    """``_expm`` runs scipy's private Pade kernels: on a matrix, a stack
+    (m, n, n) and function-kind flats (m, V, n, n), float or complex, whose
+    slices cycle through ``kinds``, at scales 1e-8 to 1e3 (the larger ones
+    take squarings, and some overflow), it returns scipy.linalg.expm's
+    dtype, shape and bytes."""
+    rng = np.random.default_rng(seed)
+    shape = lead + (n, n)
+    a = rng.standard_normal(shape).astype(dtype)
+    if dtype == np.complex128:
+        a += 1j * rng.standard_normal(shape)
+    slices = a.reshape(-1, n, n)
+    for i, piece in enumerate(slices):
+        piece[...] = _banded(kinds[i % len(kinds)], piece)
+    a *= 10.0 ** exponent
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = algebra._expm(a)
+        expected = scipy.linalg.expm(a)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_mat_log_identity_and_positive_diagonal():
     alg = ll.scalar_complex()
     ident = ll.GroupElement(ll.MatrixOverAlgebra.identity(alg, 2), "GL")

@@ -640,6 +640,26 @@ def test_a_hit_builds_no_pool_and_runs_no_el_search(name, work_calls):
     assert work_calls == {"initial": 2, "search": 8}
 
 
+@pytest.mark.parametrize("name", list(ELEMENTS))
+def test_el_then_rel_certify_each_pool_entry_once(name, monkeypatch):
+    """Quick el then quick rel of one element certify only pool entries,
+    and share each entry's certificate."""
+    certified = []
+    from_factors = explength.FactorizationCertificate.from_factors
+
+    def counted(cls, factors, target):
+        certified.append(b"".join(x.data.tobytes() for x in factors))
+        return from_factors(factors, target)
+
+    monkeypatch.setattr(explength.FactorizationCertificate, "from_factors",
+                        classmethod(counted))
+    explength._last_element = None
+    ll.el_estimate(ELEMENTS[name], budget=QUICK, seed=1)
+    ll.rel_estimate(ELEMENTS[name], budget=QUICK, seed=1)
+    assert certified
+    assert len(certified) == len(set(certified))
+
+
 def test_equal_bytes_under_another_algebra_or_tag_are_a_miss():
     """Two restarts refine the two-factor start, whose re-split directions
     are skew-adjoint under a U tag."""
