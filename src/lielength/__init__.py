@@ -3,8 +3,8 @@
 Subpackages: ``algebra`` (Banach algebras and exp/log), ``explength``
 (length brackets and estimators), ``circle`` (abelian unitary lengths via
 quotient norms), ``schatten`` (p-Schatten unitary groups), ``elementary``
-(elementary groups and the factorization invariant), ``coarse``
-(coarse-geometry checkers), ``oracles`` (brute-force references), ``cli``
+(elementary groups and the factorization invariant), ``coarse`` (sampled
+spaces and coarse fits), ``oracles`` (brute-force references), ``cli``
 (experiment runner).
 """
 
@@ -36,16 +36,12 @@ from .circle import (
 from .coarse import (
     CoarseMapSample,
     SampledSpace,
-    check_coarsely_proper,
-    check_large_scale_geodesic,
     fit_coarse_moduli,
     fit_quasi_isometry,
 )
 from .elementary import (
     ElementaryGenerator,
     bracket_identities_check,
-    check_tracial,
-    conjugation_contraction,
     elementary_product,
     hs_determinant,
     traceless_decompose,
@@ -60,16 +56,13 @@ from .explength import (
     el_exact_positive_diagonal,
     el_exact_unitary,
     el_lower_bound,
-    minimality_check,
     rel_estimate,
     trotter_check,
 )
 from .schatten import (
     PUnitary,
     SchattenContext,
-    affine_action,
     coarse_proper_chain,
-    exp_p_continuity,
     geodesic_chain,
     haagerup_witness,
     p_norm,

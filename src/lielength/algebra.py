@@ -9,12 +9,11 @@ Three concrete algebra kinds are supported:
   components of the graph play the role of connected components of the
   underlying compact space.
 
-Matrices over an algebra carry two norms: the entry-max norm ``|X|_inf`` and
-the operator norm of X acting on the l1-sum of n copies of the algebra,
-computed as max over columns j of sum_i |X_ij|_A.  The column-sum formula is
-exact when entries act by multiplication on a commutative or scalar algebra
-and is an upper bound otherwise; together with the entry-max lower bound it
-brackets every quantity derived from it.
+Matrices over an algebra carry the operator norm of X acting on the l1-sum
+of n copies of the algebra, computed as max over columns j of
+sum_i |X_ij|_A.  The column-sum formula is exact when entries act by
+multiplication on a commutative or scalar algebra and is an upper bound
+otherwise.
 """
 
 from __future__ import annotations
@@ -205,10 +204,6 @@ class BanachAlgebra:
         arrays = (*ends.T, *spanning_forest(self.vertices, ends))
         return SpaceGraph(*map(read_only, arrays))
 
-    @property
-    def components(self):
-        return self.graph.labels.tolist()
-
     def random_value(self, rng):
         return random_stack(self, 1, 1, rng)[0, 0, 0]
 
@@ -378,14 +373,10 @@ class MatrixOverAlgebra:
             raise ValueError("incompatible matrices")
 
     # -- norms -------------------------------------------------------------
-    def entry_max_norm(self):
-        """|X|_inf = max over entries of the algebra norm."""
-        return float(np.max(self.entry_norms()))
-
     def op_norm(self):
         """Operator norm of X on the l1-sum A^n: max column sum of entry
         norms.  Exact for scalar and commutative algebras, an upper bound
-        otherwise (entry_max_norm is the companion lower bound)."""
+        otherwise."""
         return float(op_norms(self.entry_norms()))
 
     # -- flat (numeric) representation --------------------------------------

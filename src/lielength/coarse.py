@@ -1,14 +1,8 @@
-"""Sampled-space coarse-geometry checkers.
+"""Sampled metric spaces and coarse fits of maps between them.
 
 A finite point sample with a distance table can only refute a coarse
-property or certify it weakly; every certificate emitted here is labeled
-with the sample size and radius it was computed from and never claims
-anything about the unsampled group.
-
-Chain oracles connect the checkers to live groups: an oracle maps a point id
-to a chain of opaque elements from the origin to that point, and
-``chain_dist`` evaluates distances between chain elements (chains may pass
-through elements outside the sample).
+property or fit it weakly; a quasi-isometry fit or a moduli envelope holds
+for the sampled pairs and never claims anything about the unsampled group.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import finite_floats, in_order
+from .algebra import finite_floats
 
 
 @dataclass
@@ -62,9 +56,6 @@ class SampledSpace:
 
     def d(self, a, b):
         return float(self.dist[self._index[a], self._index[b]])
-
-    def to_origin(self, a):
-        return self.d(a, self.origin)
 
     @classmethod
     def from_points(cls, ids, metric, origin):
@@ -108,91 +99,6 @@ class CoarseMapSample:
         i, j = np.triu_indices(len(self.pairs), 1)
         return (self.domain.dist[self._x[i], self._x[j]],
                 self.codomain.dist[self._y[i], self._y[j]])
-
-
-def _step_lengths(chain, chain_dist):
-    return [chain_dist(a, b) for a, b in itertools.pairwise(chain)]
-
-
-class _SampleLabel:
-    @property
-    def label(self):
-        return (f"sampled at {self.sample_size} points, "
-                f"radius {self.radius:g}")
-
-
-@dataclass
-class CoarseProperReport(_SampleLabel):
-    """Weak certificate: every sampled point within the radius reached the
-    origin through a chain of short steps."""
-
-    ok: bool
-    max_chain_steps: int
-    failures: list
-    sample_size: int
-    radius: float
-    step_bound: float
-
-
-def check_coarsely_proper(space, radius, step, chain_fn, chain_dist):
-    """Verify, for each sampled point within ``radius`` of the origin, an
-    oracle chain whose steps are all below ``step``.
-
-    Returns a report carrying the max chain length used (the k witnessing
-    the sampled property) or the failing points.  Oracle exceptions
-    propagate to the caller.
-    """
-    max_steps = 0
-    failures = []
-    checked = 0
-    for p in space.ids:
-        if space.to_origin(p) >= radius or p == space.origin:
-            continue
-        checked += 1
-        steps = _step_lengths(chain_fn(p), chain_dist)
-        bad = [s for s in steps if not s < step]
-        if bad:
-            failures.append((p, f"step {max(bad):g} >= {step:g}"))
-        else:
-            max_steps = max(max_steps, len(steps))
-    return CoarseProperReport(not failures, max_steps, failures,
-                              checked, radius, step)
-
-
-@dataclass
-class GeodesicReport(_SampleLabel):
-    ok: bool
-    smallest_constant: float
-    worst_pair: tuple
-    sample_size: int
-    radius: float
-
-
-def check_large_scale_geodesic(space, constant, chain_fn, chain_dist):
-    """Verify the two chain inequalities for every unordered sampled pair:
-    step lengths at most ``constant`` and (sum of steps) <= constant *
-    d(g, h).
-
-    Reports the smallest admissible constant found on the sample; success
-    at a constant implies success at any larger one.  A chain with no step
-    needs 0 between equal points and inf otherwise, as does a chain of
-    positive length between points at distance 0.
-    """
-    needed = 0.0
-    worst = None
-    for a, b in itertools.combinations(space.ids, 2):
-        steps = _step_lengths(chain_fn(a, b), chain_dist)
-        total, d_ab = sum(steps), space.d(a, b)
-        if d_ab == 0:
-            ratio = math.inf if total > 0 else 0.0
-        else:
-            ratio = total / d_ab if steps else math.inf
-        pair_needed = max(steps + [ratio])
-        if pair_needed > needed:
-            needed, worst = pair_needed, (a, b)
-    radius = float(np.max(space.dist)) if len(space.ids) > 1 else 0.0
-    return GeodesicReport(bool(in_order(needed, constant)), needed, worst,
-                          len(space.ids), radius)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Elementary groups inside GL(n, A): generators, bracket identities, the
 trace-zero span decomposition, the determinant-style invariant of
-factorizations, conjugation contractions, and unboundedness witnesses.
+factorizations, and unboundedness witnesses.
 
 Generator vocabulary over an algebra A, all of size n:
 
@@ -224,18 +224,6 @@ def trace(algebra, value):
                      for c in range(int(labels.max()) + 1)])
 
 
-def check_tracial(algebra, rng):
-    """Verify tau(xy - yx) = 0 to 1e-10 on 20 random sampled pairs."""
-    worst = 0.0
-    for _ in range(20):
-        x, y = algebra.random_value(rng), algebra.random_value(rng)
-        comm = algebra.mul(x, y) - algebra.mul(y, x)
-        worst = max(worst, float(np.max(np.abs(trace(algebra, comm)))))
-    if worst > 1e-10:
-        raise AssertionError(f"trace fails on commutators by {worst}")
-    return worst
-
-
 def trace_of_matrix(x):
     """tau_n(X) = tau(sum of the diagonal entries), tau the trace of X's
     algebra."""
@@ -320,48 +308,7 @@ def traceless_decompose(x):
 
 
 # ---------------------------------------------------------------------------
-# conjugation contractions and unboundedness witnesses
-
-CONTRACTION_SLOTS = ((1, 3), (2, 3), (3, 1), (3, 2))
-
-
-def _torus_element(algebra, lam, slot):
-    """diag with lam in the slot's active row and lam^{-1} in row 3,
-    matching the contracting conjugator for that slot."""
-    active = slot[0] if slot[0] != 3 else slot[1]
-    diag = [1.0, 1.0, 1.0]
-    diag[active - 1] = lam
-    diag[2] = 1.0 / lam
-    unit = algebra.unit_value()
-    return MatrixOverAlgebra.diagonal(algebra, [value * unit for value in diag])
-
-
-def conjugation_contraction(lam, a, slot):
-    """Conjugate E_slot(a) by the diagonal torus element for that slot.
-
-    The result is exactly E_slot(lam^2 a), so its distance to the identity
-    is the norm of that payload and contracts to zero as lam -> 0.
-    """
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    if slot not in CONTRACTION_SLOTS:
-        raise ValueError(f"slot must be one of {CONTRACTION_SLOTS}")
-    algebra = a.algebra
-    i, j = slot
-    target = ElementaryGenerator("E", 3, a, i, j).matrix()
-    torus = _torus_element(algebra, lam, slot)
-    inverse_torus = _torus_element(algebra, 1.0 / lam, slot)
-    if slot in ((1, 3), (2, 3)):
-        conj = torus @ target @ inverse_torus
-    else:
-        conj = inverse_torus @ target @ torus
-    expected = ElementaryGenerator(
-        "E", 3, AlgebraElement(algebra, (lam ** 2) * a.value), i, j).matrix()
-    identity_residual = (conj - expected).op_norm()
-    if identity_residual > 1e-9 * (1 + conj.op_norm()):
-        raise AssertionError("conjugation identity failed numerically")
-    distance = (conj - MatrixOverAlgebra.identity(algebra, 3)).op_norm()
-    return GroupElement(conj, "En", validate=False), distance
+# unboundedness witnesses
 
 
 def unboundedness_witness(m, algebra=None):

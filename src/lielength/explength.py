@@ -92,11 +92,6 @@ class FactorizationCertificate:
         return FactorizationCertificate.from_factors(
             factors, self.target.inverse())
 
-    def concat(self, other):
-        """Certificate for (self.target @ other.target) by concatenation."""
-        return FactorizationCertificate.from_factors(
-            self.factors + other.factors, self.target @ other.target)
-
     def to_json(self):
         return {
             "factors": [matrix_to_json(x) for x in self.factors],
@@ -664,39 +659,3 @@ def trotter_check(x, y, n):
     commutator_error = (powered2 - mat_exp(bracket).matrix).op_norm()
     return product_error, commutator_error
 
-
-@dataclass
-class MinimalityReport:
-    """Fitted Lipschitz comparison of a length function against |X| on
-    exp of a small ball."""
-
-    constant: float
-    witness_index: int
-    lower_holds: bool
-    pairs: list
-
-
-def minimality_check(samples):
-    """Fit the smallest K with ell(exp X) <= |X| <= K * ell(exp X) over
-    Lie-algebra samples X, where ell is the certificate upper bound of
-    ``el_estimate`` without optimization; ``lower_holds`` reads ``in_order``.
-    """
-    quick = EstimateBudget(optimize=False)
-    constant = 0.0
-    witness = -1
-    lower_holds = True
-    pairs = []
-    for idx, x in enumerate(samples):
-        g = mat_exp(x)
-        value = el_estimate(g, budget=quick).upper
-        norm = x.op_norm()
-        pairs.append((norm, value))
-        if not in_order(value, norm):
-            lower_holds = False
-        if value > 0 and norm / value > constant:
-            constant = norm / value
-            witness = idx
-        if value == 0 and norm > 1e-9:
-            constant = math.inf
-            witness = idx
-    return MinimalityReport(constant, witness, lower_holds, pairs)

@@ -26,7 +26,6 @@ from .algebra import (
     unitary_spectrum,
 )
 
-EXP_LIPSCHITZ_BOUND = math.e  # telescoping bound 1 + sum_k 1/(k-1)!
 # Most steps a coarse-proper chain may take: one unitary is built per step,
 # so the cap bounds its memory (10,000 4x4 unitaries hold 2.5 MB of entries).
 MAX_CHAIN_STEPS = 10_000
@@ -142,11 +141,6 @@ class PUnitary:
 
     def __matmul__(self, other):
         return PUnitary(self.context, self.matrix @ other.matrix)
-
-    def principal_log_selfadjoint(self):
-        """The self-adjoint a with u = e^{ia} and |a|_inf <= pi, on the
-        principal branch of ``unitary_spectrum``."""
-        return _selfadjoint(*self._principal_spectrum())
 
     def _principal_spectrum(self):
         """Angles theta in (-pi, pi] and unitary z with u = z e^{i theta} z*."""
@@ -293,14 +287,9 @@ def geodesic_chain(u):
     return report
 
 
-def affine_action(u, x):
-    """The affine isometric action u.x = ux + (u - 1); the orbit of the
-    origin is the cocycle b(u) = u - 1."""
-    x = np.asarray(x, dtype=complex)
-    return u.matrix @ x + cocycle(u)
-
-
 def cocycle(u):
+    """b(u) = u - 1, the orbit of the origin under the affine isometric
+    action u.x = ux + (u - 1)."""
     return u.matrix - np.eye(u.context.dim)
 
 
@@ -331,30 +320,3 @@ def haagerup_witness(elements, n):
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))))
     return gram, min_eig
 
-
-@dataclass
-class ExpContinuityReport:
-    ratios: list
-    sup_operator_norm: float
-
-
-def exp_p_continuity(a, sequence, context):
-    """Lipschitz ratios |e^{ia_m} - e^{ia}|_p / |a_m - a|_p for a sequence of
-    self-adjoint a_m with uniformly bounded operator norm.
-
-    Every ratio is certified against the telescoping bound e (the constant
-    1 + sum_{k>=2} 1/(k-1)! after integer rescaling into the unit ball).
-    """
-    a = np.asarray(a, dtype=complex)
-    sup_norm, ua = _exp_i(a, context)
-    ratios = []
-    for am in sequence:
-        am = np.asarray(am, dtype=complex)
-        am_norm, uam = _exp_i(am, context)
-        sup_norm = max(sup_norm, am_norm)
-        denom = p_norm(am - a, context)
-        ratios.append(0.0 if denom == 0.0 else uam.dist_to(ua) / denom)
-    if not all(in_order(r, EXP_LIPSCHITZ_BOUND) for r in ratios):
-        raise AssertionError(
-            f"exp ratio exceeded the telescoping bound e: {max(ratios)}")
-    return ExpContinuityReport(ratios, sup_norm)

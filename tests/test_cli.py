@@ -5,10 +5,12 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import importlib
 import io
 import itertools
 import json
 import math
+import operator
 import re
 import shlex
 import tempfile
@@ -835,3 +837,24 @@ def test_readme_option_table_matches_the_parser():
 def test_readme_invocations_parse(argv):
     """Every ``lielength ...`` line of the README is a valid invocation."""
     cli.build_parser().parse_args(argv)
+
+
+_MODULES = sorted(p.stem for p in Path(ll.__file__).parent.glob("*.py")
+                  if p.stem != "__init__")
+_REFERENCE = re.compile(rf"`(?:lielength\.)?({'|'.join(_MODULES)})"
+                        r"\.([A-Za-z_][\w.]*)`")
+
+
+def test_readme_module_references_resolve():
+    """Every backticked ``module.name`` or ``lielength.module.name`` of the
+    README is an attribute of that library module."""
+    references = _REFERENCE.findall(_README.read_text())
+    assert references
+    missing = []
+    for module, name in references:
+        try:
+            operator.attrgetter(name)(
+                importlib.import_module(f"lielength.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{name}")
+    assert missing == []
