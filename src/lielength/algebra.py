@@ -502,8 +502,9 @@ _NO_REAL_LOG = "no real logarithm: spectrum requires a complex branch"
 
 
 def _exceeds_exp_bound(norm, exp_norm):
-    """|exp X| above e^{|X|} beyond rounding, elementwise."""
-    with np.errstate(over="ignore"):  # an e^{|X|} of inf bounds nothing
+    """|exp X| above e^{|X|} beyond rounding, elementwise, at every |X|:
+    an e^{|X|} past the float range bounds nothing."""
+    with np.errstate(over="ignore"):
         return exp_norm > np.exp(norm) * (1.0 + 1e-9) + 1e-12
 
 
@@ -538,8 +539,6 @@ def _expm(a):
     the kernels fail on goes back to ``scipy.linalg.expm``, which raises
     its own error.  The workspace is the call's own, so concurrent calls
     need no lock."""
-    if a.shape[-1] < 2:
-        return scipy.linalg.expm(a)
     stack = a.reshape((-1,) + a.shape[-2:])
     band = (stack != 0).reshape(len(stack), -1) @ _band_columns(a.shape[-1])
     generic = band[:, 0] & band[:, 1]
@@ -600,7 +599,8 @@ def unitary_spectrum(m):
 def spectral(values, vecs):
     """V f(Lambda) V*, the function f of a normal matrix V Lambda V*, from
     ``values`` = f(Lambda) and ``vecs`` = V, either with leading stack axes
-    that broadcast: e^{ia} is ``spectral(np.exp(1j * lam), V)``."""
+    that broadcast: e^{ia} is ``spectral(np.exp(1j * lam), V)``.  The one
+    place the library writes V f(Lambda) V*."""
     return (vecs * values[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 

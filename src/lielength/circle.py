@@ -162,8 +162,9 @@ def identity_component_check(f):
 def unwrap(f):
     """Real lift of an identity-component circle function.
 
-    Raises WindingError when some cycle winds, SamplingConditionError is
-    raised earlier at construction of the input.
+    Raises WindingError, naming only the wound non-tree edges and their
+    windings, when some cycle winds; SamplingConditionError is raised
+    earlier, at construction of the input.
     """
     lift, windings = _tree_lift(f)
     if windings.any():

@@ -85,13 +85,6 @@ class FactorizationCertificate:
         if self.sum_of_norms < math.log(max(1.0, target_norm - allowed)):
             raise AssertionError("certificate is shorter than log|target|")
 
-    def inverse(self):
-        """Certificate for target^{-1}: reversed, negated factors.  The sum
-        of norms is unchanged."""
-        factors = [(-x) for x in reversed(self.factors)]
-        return FactorizationCertificate.from_factors(
-            factors, self.target.inverse())
-
     def to_json(self):
         return {
             "factors": [matrix_to_json(x) for x in self.factors],
@@ -102,6 +95,8 @@ class FactorizationCertificate:
 
     @classmethod
     def from_json(cls, doc, target):
+        """The certificate of g = ``target`` whose factors ``doc`` holds,
+        checked again; ValueError naming them when they are not a list."""
         (factors,) = json_fields(doc, "a certificate", "factors")
         if not isinstance(factors, list):
             raise ValueError(f"a certificate's factors must be a JSON list, "
@@ -345,12 +340,9 @@ def _resplits(g, left, pair, step, count, rng):
     Returns (logs, targets, trials).  logs holds X' of every trial, then Y'
     of every trial, in flat form, and targets holds mid and mid^-1 pair in
     the same order: trial t's two rows are t and count + t, the arguments
-    of its ``round_trips``.  trials lists in trial order (t, failure) for
-    each trial the sweep may reach: its two logs are admitted, and failure
-    is None, or exp(step D/|D|) failed, and failure is that error, which
-    the sweep raises when it reaches the trial, as a trial-by-trial
-    evaluation does.  A zero direction and a refused log leave the trial
-    out.  The logs of a refused trial are finite and mean nothing."""
+    of its ``round_trips``.  trials lists, in order, the trials whose
+    direction is nonzero and whose exp(step D/|D|) and two logs are all
+    admitted; the logs of any other trial are finite and mean nothing."""
     algebra, n, unitary = g.algebra, g.n, g.group_tag == "U"
     directions = random_stack(algebra, n, count, rng)
     if unitary:
@@ -368,9 +360,9 @@ def _resplits(g, left, pair, step, count, rng):
         rests = _inverses(mids) @ pair
     logs, verdicts, targets = stacked_logs(
         algebra, n, np.concatenate([mids, rests]), unitary)
-    trials = [(t, step_failures[t]) for t in np.flatnonzero(norms > 0)
-              if step_failures[t] is not None
-              or (verdicts[t] is None and verdicts[count + t] is None)]
+    trials = [t for t in np.flatnonzero(norms > 0).tolist()
+              if step_failures[t] is None and verdicts[t] is None
+              and verdicts[count + t] is None]
     return logs, targets, trials
 
 
@@ -397,21 +389,20 @@ def _refine_factors(factors, g, objective, budget, rng):
     per factor.
 
     A pair's ``budget.trials`` trials are one stack (``_resplits``), and so
-    are their values: for ``_sum_norms`` and ``_norm_of_sum`` one norm call
-    on the stacked logs gives the objective of every trial's candidate,
-    equal bit for bit to ``objective`` of it (see ``_Summed``); any other
-    objective is called on each candidate.  The trials are then judged in
-    order.  A trial pays its round trip (``round_trips`` of its two logs)
-    only once it shortens the objective; the first that also passes it
-    wins, its logs become factors and its round-trip exponentials their
-    exps, and the generator is put back to just after its draw."""
+    are their values: the objective is ``_sum_norms`` or ``_norm_of_sum``,
+    and one norm call on the stacked logs gives its value on every trial's
+    candidate, equal bit for bit to ``objective`` of it (see ``_Summed``).
+    The admitted trials are then judged in order.  A trial pays its round
+    trip (``round_trips`` of its two logs) only once it shortens the
+    objective; the first that also passes it wins, its logs become factors
+    and its round-trip exponentials their exps, and the generator is put
+    back to just after its draw."""
     best, best_val = list(factors), objective(factors)
     if len(best) < 2:
         return best, best_val
     algebra, n, count = g.algebra, g.n, budget.trials
-    summed = _SUMMED.get(objective)
-    if summed is not None:
-        terms = [summed.term(algebra, x.data) for x in best]
+    summed = _SUMMED[objective]
+    terms = [summed.term(algebra, x.data) for x in best]
     exps = np.stack([mat_exp(x).matrix.to_flat() for x in best])
     step = budget.init_step
     for _ in range(budget.iterations):
@@ -420,15 +411,9 @@ def _refine_factors(factors, g, objective, budget, rng):
             state = rng.bit_generator.state
             logs, targets, trials = _resplits(
                 g, exps[i], exps[i] @ exps[i + 1], step, count, rng)
-            if summed is not None:
-                values, trial_terms = summed.trial_values(algebra, n, terms,
-                                                          i, logs)
-            else:
-                values = [objective(best[:i] + _factors(g, logs, [t, count + t])
-                                    + best[i + 2:]) for t in range(count)]
-            for t, failure in trials:
-                if failure is not None:
-                    raise failure
+            values, trial_terms = summed.trial_values(algebra, n, terms, i,
+                                                      logs)
+            for t in trials:
                 if not values[t] < best_val - 1e-12:
                     continue
                 both = [t, count + t]
@@ -436,10 +421,10 @@ def _refine_factors(factors, g, objective, budget, rng):
                                                    targets[both])
                 if any(verdicts):  # an error is true, None is false
                     continue
-                best[i:i + 2] = _factors(g, logs, both)
+                best[i:i + 2] = [MatrixOverAlgebra.from_flat(algebra, n, y)
+                                 for y in logs[both]]
                 best_val, improved = float(values[t]), True
-                if summed is not None:
-                    terms[i:i + 2] = trial_terms[both]
+                terms[i:i + 2] = trial_terms[both]
                 exps[i:i + 2] = round_trip
                 rng.bit_generator.state = state
                 random_stack(algebra, n, t + 1, rng)
@@ -449,11 +434,6 @@ def _refine_factors(factors, g, objective, budget, rng):
             if step < budget.min_step:
                 break
     return best, best_val
-
-
-def _factors(g, logs, rows):
-    """The rows of a stack of logs of g in flat form, as factors."""
-    return [MatrixOverAlgebra.from_flat(g.algebra, g.n, logs[u]) for u in rows]
 
 
 def _sum_norms(factors):
@@ -489,7 +469,7 @@ class _Summed:
         return self.value(algebra, total), trial_terms
 
 
-# The objectives whose trial values ``_refine_factors`` takes as one stack.
+# The two objectives of ``_search``, in the form ``_refine_factors`` stacks.
 _SUMMED = {
     _sum_norms: _Summed(lambda algebra, data: op_norms(algebra.norm(data)),
                         lambda algebra, total: total),

@@ -113,7 +113,8 @@ def p_norm(a, context):
 
 @dataclass(frozen=True, eq=False)
 class PUnitary:
-    """A unitary in the p-Schatten unitary group of its context."""
+    """A unitary in the p-Schatten unitary group of its context; a matrix
+    of the wrong shape, non-finite or not unitary is a ValueError."""
 
     context: SchattenContext
     matrix: np.ndarray
@@ -273,7 +274,8 @@ class GeodesicChainReport:
 
 def geodesic_chain(u):
     """Chain witnessing large-scale geodesicity with constant 2: steps of
-    p-length at most 2 whose total length is at most 2 d(u, 1)."""
+    p-length at most 2 whose total length is at most 2 d(u, 1), each bound
+    judged by ``in_order``."""
     d0 = u.dist_to_identity()
     if d0 == 0.0:
         return GeodesicChainReport([PUnitary.identity(u.context)], [], 0.0, 0.0)

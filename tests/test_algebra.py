@@ -161,6 +161,60 @@ def test_expm_is_scipys_expm_byte_for_byte(n, lead, kinds, dtype, exponent,
     assert got.tobytes() == expected.tobytes()
 
 
+def test_a_slice_the_pade_kernel_fails_on_goes_to_scipy(monkeypatch):
+    """A generic slice on which ``pade_UV_calc`` reports a failure, having
+    computed nothing, is handed to ``scipy.linalg.expm``: the stack keeps
+    scipy's bytes."""
+    a = np.random.default_rng(3).standard_normal((3, 3, 3)) * 2.0
+    kernel, calls = algebra.pade_UV_calc, []
+
+    def failing(work, m):
+        calls.append(m)
+        return 1 if len(calls) == 2 else kernel(work, m)
+
+    monkeypatch.setattr(algebra, "pade_UV_calc", failing)
+    got = algebra._expm(a)
+    assert len(calls) == 3
+    assert got.tobytes() == scipy.linalg.expm(a).tobytes()
+
+
+@pytest.mark.parametrize("alg", [ll.scalar_real(),
+                                 ll.function_algebra(3, [(0, 1)])],
+                         ids=lambda a: a.kind)
+def test_mat_exps_refuses_a_non_finite_exponential_alone(alg):
+    """exp(1000 I) overflows: ``mat_exps`` refuses that element alone, with
+    the error ``mat_exp`` raises on it, and the identity stands in for it;
+    its neighbour keeps the bytes of ``mat_exp``."""
+    big = ll.MatrixOverAlgebra.identity(alg, 2).scaled(1000.0)
+    small = ll.MatrixOverAlgebra.random(alg, 2, np.random.default_rng(5),
+                                        scale=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exps, verdicts = algebra.mat_exps(
+            alg, 2, np.stack([big.to_flat(), small.to_flat()]))
+        with pytest.raises(ll.NumericFailureError) as raised:
+            ll.mat_exp(big)
+    assert type(verdicts[0]) is ll.NumericFailureError
+    assert str(verdicts[0]) == str(raised.value)
+    assert verdicts[1] is None
+    assert (exps[0] == np.eye(2)).all()
+    assert exps[1].tobytes() == ll.mat_exp(small).matrix.to_flat().tobytes()
+
+
+@pytest.mark.parametrize("miss, refused", [(1e-6, True), (1e-13, False)])
+def test_mat_log_refuses_a_missed_round_trip(monkeypatch, miss, refused):
+    """``mat_log`` refuses g where exp(log g) misses g by more than
+    1e-9 (1 + |g|), and takes it where the miss is below."""
+    g = acceptance.random_gl(2, np.random.default_rng(8))
+    exp = algebra.mat_exp
+    monkeypatch.setattr(algebra, "mat_exp", lambda x: ll.GroupElement(
+        exp(x).matrix.scaled(1.0 + miss), validate=False))
+    if refused:
+        with pytest.raises(ll.NumericFailureError, match="missed g by"):
+            ll.mat_log(g)
+    else:
+        ll.mat_log(g)
+
+
 def test_mat_log_identity_and_positive_diagonal():
     alg = ll.scalar_complex()
     ident = ll.GroupElement(ll.MatrixOverAlgebra.identity(alg, 2), "GL")

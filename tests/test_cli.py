@@ -858,3 +858,14 @@ def test_readme_module_references_resolve():
         except AttributeError:
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_readme_module_rows_are_short():
+    """Each module row of the README's Layout table says what the module is
+    for in at most 400 characters: a rule is stated in the docstring of the
+    function that holds it, not in the table."""
+    rows = [line[2:-2].split(" | ", 1)
+            for line in _README.read_text().splitlines()
+            if line.startswith("| `lielength.")]
+    assert rows
+    assert {name: len(cell) for name, cell in rows if len(cell) > 400} == {}

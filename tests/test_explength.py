@@ -740,20 +740,6 @@ def test_two_threads_on_two_elements_get_the_serial_results():
 
 # -- certificates -----------------------------------------------------------------
 
-def test_certificate_inverse_preserves_sum():
-    alg = ll.scalar_complex()
-    rng = np.random.default_rng(6)
-    x = ll.MatrixOverAlgebra.random(alg, 2, rng, scale=0.5)
-    y = ll.MatrixOverAlgebra.random(alg, 2, rng, scale=0.5)
-    g = ll.mat_exp(x) @ ll.mat_exp(y)
-    cert = ll.FactorizationCertificate.from_factors([x, y], g)
-    cert.check_invariants()
-    inv = cert.inverse()
-    inv.check_invariants()
-    assert inv.sum_of_norms == pytest.approx(cert.sum_of_norms, abs=1e-12)
-    assert inv.residual <= 1e-9
-
-
 def test_certificate_concat_subadditive():
     """The factors of g followed by those of h certify gh, so
     el(gh) <= el(g) + el(h)."""

@@ -7,9 +7,14 @@ under ``bench/``.  A definition is no read, and neither is a re-export of
 the package ``__init__``.  Test modules are no readers, so a check that
 only tests reach counts as unread.  ``EXCEPTIONS`` lists the names kept
 without a reader, each with its reason.
+
+A read of ``.name`` counts for every class that defines a method ``name``,
+so ``SHARED_METHODS`` names, for each method another class shares, the
+function that reads it or the reason it is kept without one.
 """
 
 import ast
+import collections
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +33,31 @@ EXCEPTIONS = {
     "coarse.SampledSpace.d": "value-type API: the distance of two points",
     "circle.CircleFunction.multiply": "value-type API: the group product",
     "oracles": "the test reference implementations",
+}
+
+# Each public method whose name another library class also defines: its
+# reader, ``module.function`` or ``module.Class.method``, whose body reads
+# the attribute, or, in words, why it is kept without one.
+SHARED_METHODS = {
+    "algebra.GroupElement.check_invariants":
+        "algebra.GroupElement.__post_init__",
+    "explength.FactorizationCertificate.check_invariants":
+        "elementary.hs_determinant",
+    "circle.CircleFunction.from_json": "cli._cmd_cel",
+    "explength.FactorizationCertificate.from_json":
+        "value-type API: the reader of a certificate",
+    "algebra.MatrixOverAlgebra.identity": "explength._initial_certificates",
+    "algebra.GroupElement.identity":
+        "explength.FactorizationCertificate.from_factors",
+    "schatten.PUnitary.identity": "schatten.geodesic_chain",
+    "algebra.MatrixOverAlgebra.inverse": "explength._initial_certificates",
+    "algebra.GroupElement.inverse": "explength._lower_bound",
+    "circle.CircleFunction.inverse": "value-type API: the group inverse",
+    "schatten.PUnitary.inverse": "value-type API: the group inverse",
+    "circle.CircleFunction.to_json":
+        "value-type API: the writer of a circle function",
+    "explength.FactorizationCertificate.to_json": "explength.ElBracket.to_json",
+    "explength.ElBracket.to_json": "cli._cmd_el",
 }
 
 
@@ -76,6 +106,40 @@ def unread(definitions, readers, exceptions):
     return out
 
 
+def shared_methods(definitions):
+    """Qualified names of the public methods of ``definitions`` (module
+    name -> tree) whose name another class there also defines."""
+    owners = collections.defaultdict(list)
+    for module, tree in definitions.items():
+        for qualified, name, is_method in public_definitions(tree, module):
+            if is_method:
+                owners[name].append(qualified)
+    return sorted(q for found in owners.values() if len(found) > 1
+                  for q in found)
+
+
+def reads_attribute(definitions, reader, name):
+    """Whether ``reader``, ``module.function`` or ``module.Class.method`` of
+    ``definitions``, is defined and loads the attribute ``name``."""
+    module, *path = reader.split(".")
+    node = definitions.get(module)
+    for part in path:
+        node = next((sub for sub in getattr(node, "body", [])
+                     if isinstance(sub, (ast.FunctionDef, ast.ClassDef))
+                     and sub.name == part), None)
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        and sub.attr == name for sub in ast.walk(node))
+
+
+def misread(definitions, table):
+    """The entries of ``table`` whose reader does not read their method; an
+    entry with a space is a reason, not a reader."""
+    return [f"{q}: {reader}" for q, reader in table.items()
+            if " " not in reader
+            and not reads_attribute(definitions, reader, q.rsplit(".")[-1])]
+
+
 def library():
     """The module trees by module name, and the trees of every reader."""
     return ({p.stem: ast.parse(p.read_text()) for p in MODULES},
@@ -115,3 +179,28 @@ def test_every_exception_is_a_module_or_an_unread_definition():
 def test_every_public_name_is_read():
     definitions, readers = library()
     assert unread(definitions, readers, EXCEPTIONS) == []
+
+
+def test_the_shared_method_rule_on_a_sample():
+    """Two classes that define ``inverse`` share it; each entry needs a
+    reader that loads ``.inverse``, or a reason."""
+    module = ast.parse(
+        "class A:\n    def inverse(self):\n        pass\n"
+        "    def only(self):\n        pass\n"
+        "class B:\n    def inverse(self):\n        return self\n"
+        "def uses(a):\n    return a.inverse()\n"
+        "def other(a):\n    return a.only()\n")
+    definitions = {"m": module}
+    assert shared_methods(definitions) == ["m.A.inverse", "m.B.inverse"]
+    table = {"m.A.inverse": "m.uses", "m.B.inverse": "kept for a reason"}
+    assert misread(definitions, table) == []
+    table = {"m.A.inverse": "m.other", "m.B.inverse": "m.B.inverse"}
+    assert misread(definitions, table) == ["m.A.inverse: m.other",
+                                           "m.B.inverse: m.B.inverse"]
+
+
+def test_every_shared_method_names_its_reader_or_a_reason():
+    """The table lists each shared method, and no other name."""
+    definitions, _ = library()
+    assert sorted(SHARED_METHODS) == shared_methods(definitions)
+    assert misread(definitions, SHARED_METHODS) == []

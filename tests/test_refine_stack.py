@@ -41,8 +41,8 @@ def sequential_refine(factors, g, objective, budget, rng):
                                                   tag == "U")
                 if direction is None:
                     continue
-                mid = exps[i] @ ll.mat_exp(direction.scaled(step)).matrix
                 try:
+                    mid = exps[i] @ ll.mat_exp(direction.scaled(step)).matrix
                     x_new = ll.mat_log(ll.GroupElement(mid, tag,
                                                        validate=False))
                     y_new = ll.mat_log(ll.GroupElement(
@@ -237,36 +237,22 @@ def _failing_step(monkeypatch, trial):
     monkeypatch.setattr(explength, "mat_exps", failing)
 
 
-def _always_shorter():
-    """An objective each evaluation of which beats the last, so the first
-    trial evaluated is accepted."""
-    counter = itertools.count()
-    return lambda factors: -float(next(counter))
+def _made_up(monkeypatch, step):
+    """An objective worth 0 on the starting factors, and -k step on every
+    trial of the k-th pair visit, entered in ``explength._SUMMED``: with
+    step 1 each visit's first admitted trial shortens it, with step 0 no
+    trial does."""
+    visits = itertools.count(1)
 
+    def objective(factors):
+        return 0.0
 
-def test_a_failing_trial_after_the_accepted_one_raises_nothing(monkeypatch):
-    g = acceptance.random_gl(2, np.random.default_rng(4))
-    x = ll.mat_log(g)
-    _failing_step(monkeypatch, 1)
-    budget = ll.EstimateBudget(iterations=1, trials=2)
-    # trial 0 of each of the two pairs is accepted, and trial 1 is never
-    # reached
-    refined, _ = explength._refine_factors(
-        [x.scaled(1 / 3)] * 3, g, _always_shorter(), budget,
-        np.random.default_rng(0))
-    assert len(refined) == 3
-    assert explength.FactorizationCertificate.from_factors(
-        refined, g).residual < 1e-10
+    def value(alg, totals):
+        return np.full(len(totals), -step * next(visits))
 
-
-def test_a_failing_trial_before_any_accepted_one_raises(monkeypatch):
-    g = acceptance.random_gl(2, np.random.default_rng(4))
-    x = ll.mat_log(g)
-    _failing_step(monkeypatch, 0)
-    budget = ll.EstimateBudget(iterations=1, trials=2)
-    with pytest.raises(ll.NumericFailureError, match="injected"):
-        explength._refine_factors([x.scaled(1 / 3)] * 3, g, _always_shorter(),
-                                  budget, np.random.default_rng(0))
+    monkeypatch.setitem(explength._SUMMED, objective, explength._Summed(
+        explength._SUMMED[explength._sum_norms].term, value))
+    return objective
 
 
 def _recorded_round_trips(monkeypatch, fail_first=0):
@@ -286,6 +272,31 @@ def _recorded_round_trips(monkeypatch, fail_first=0):
     return calls
 
 
+def test_a_refused_step_leaves_out_its_own_trial_only(monkeypatch):
+    """With the exponential of trial 0's step refused, ``_resplits`` admits
+    trial 1 alone and the sweep goes on: each pair visit accepts trial 1,
+    with one round trip."""
+    g = acceptance.random_gl(2, np.random.default_rng(4))
+    x = ll.mat_log(g)
+    factors = [x.scaled(1 / 3)] * 3
+    budget = ll.EstimateBudget(iterations=1, trials=2)
+    exps = np.stack([ll.mat_exp(y).matrix.to_flat() for y in factors])
+    _failing_step(monkeypatch, 0)
+    logs, _, trials = explength._resplits(g, exps[0], exps[0] @ exps[1],
+                                          budget.init_step, budget.trials,
+                                          np.random.default_rng(0))
+    assert trials == [1]
+    calls = _recorded_round_trips(monkeypatch)
+    refined, _ = explength._refine_factors(
+        factors, g, _made_up(monkeypatch, 1.0), budget,
+        np.random.default_rng(0))
+    assert calls == [(2, [None, None])] * 2
+    assert refined[0].data.tobytes() == ll.MatrixOverAlgebra.from_flat(
+        g.algebra, g.n, logs[1]).data.tobytes()
+    assert explength.FactorizationCertificate.from_factors(
+        refined, g).residual < 1e-10
+
+
 def test_each_accepted_re_split_takes_one_two_element_round_trip(
         monkeypatch):
     """With every trial shortening the objective, each pair visit accepts
@@ -296,11 +307,12 @@ def test_each_accepted_re_split_takes_one_two_element_round_trip(
     calls = _recorded_round_trips(monkeypatch)
     budget = ll.EstimateBudget(iterations=3, trials=6)
     factors = [x.scaled(0.25)] * 4
-    explength._refine_factors(factors, g, _always_shorter(), budget,
+    explength._refine_factors(factors, g, _made_up(monkeypatch, 1.0), budget,
                               np.random.default_rng(0))
     assert calls == [(2, [None, None])] * (budget.iterations * 3)
     calls.clear()
-    refined, _ = explength._refine_factors(factors, g, lambda f: 0.0, budget,
+    refined, _ = explength._refine_factors(factors, g,
+                                           _made_up(monkeypatch, 0.0), budget,
                                            np.random.default_rng(0))
     assert refined == factors and calls == []
 
@@ -318,11 +330,11 @@ def test_a_failed_round_trip_passes_the_win_to_the_next_shorter_trial(
     logs, _, trials = explength._resplits(g, exps[0], exps[0] @ exps[1],
                                           budget.init_step, budget.trials,
                                           np.random.default_rng(0))
-    assert trials == [(t, None) for t in range(4)]
+    assert trials == list(range(4))
     calls = _recorded_round_trips(monkeypatch, fail_first=1)
     rng = np.random.default_rng(0)
-    refined, _ = explength._refine_factors(factors, g, _always_shorter(),
-                                           budget, rng)
+    refined, _ = explength._refine_factors(
+        factors, g, _made_up(monkeypatch, 1.0), budget, rng)
     assert [verdicts[0] is None for _, verdicts in calls] == [False, True]
     assert [y.data.tobytes() for y in refined] == [
         ll.MatrixOverAlgebra.from_flat(g.algebra, g.n, logs[u]).data.tobytes()
