@@ -272,7 +272,35 @@ def _recorded_round_trips(monkeypatch, fail_first=0):
     return calls
 
 
-def test_a_refused_step_leaves_out_its_own_trial_only(monkeypatch):
+def test_a_refused_trial_after_the_accepted_one_changes_nothing(
+        monkeypatch):
+    """With the exponential of trial 1's step refused, ``_resplits`` admits
+    trial 0 alone, and the sweep, which accepts trial 0 on each pair visit,
+    returns the factors it returns with no step refused."""
+    g = acceptance.random_gl(2, np.random.default_rng(4))
+    x = ll.mat_log(g)
+    factors = [x.scaled(1 / 3)] * 3
+    budget = ll.EstimateBudget(iterations=1, trials=2)
+    exps = np.stack([ll.mat_exp(y).matrix.to_flat() for y in factors])
+    unrefused, _ = explength._refine_factors(
+        factors, g, _made_up(monkeypatch, 1.0), budget,
+        np.random.default_rng(0))
+    _failing_step(monkeypatch, 1)
+    _, _, trials = explength._resplits(g, exps[0], exps[0] @ exps[1],
+                                       budget.init_step, budget.trials,
+                                       np.random.default_rng(0))
+    assert trials == [0]
+    refined, _ = explength._refine_factors(
+        factors, g, _made_up(monkeypatch, 1.0), budget,
+        np.random.default_rng(0))
+    assert [y.data.tobytes() for y in refined] == [
+        y.data.tobytes() for y in unrefused]
+    assert explength.FactorizationCertificate.from_factors(
+        refined, g).residual < 1e-10
+
+
+def test_a_refused_trial_before_the_accepted_one_leaves_out_only_itself(
+        monkeypatch):
     """With the exponential of trial 0's step refused, ``_resplits`` admits
     trial 1 alone and the sweep goes on: each pair visit accepts trial 1,
     with one round trip."""
