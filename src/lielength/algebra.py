@@ -24,6 +24,8 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _umath_linalg
+from scipy.linalg._matfuncs import _maybe_real
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 DEFAULT_TOL = 1e-9
@@ -175,6 +177,21 @@ class BanachAlgebra:
             return np.eye(self.k, dtype=self.dtype)
         return np.ones(self.vertices, dtype=self.dtype)
 
+    def identity_data(self, n):
+        """The n-by-n identity matrix over the algebra in data layout: one
+        read-only array per n, made on first use and kept on the algebra."""
+        data = self._identities.get(n)
+        if data is None:
+            data = np.zeros((n, n) + self.value_shape(), dtype=self.dtype)
+            data[range(n), range(n)] = self.unit_value()
+            data.setflags(write=False)
+            self._identities[n] = data
+        return data
+
+    @cached_property
+    def _identities(self):
+        return {}
+
     def zero_value(self):
         if self.kind in (SCALAR_COMPLEX, SCALAR_REAL):
             return self.dtype(0)
@@ -183,7 +200,6 @@ class BanachAlgebra:
     def norm(self, value):
         """Norm of a value, or of each value in a stack along the leading axes:
         |.| for scalars, spectral norm for matrix(k), sup over vertices."""
-        value = np.asarray(value)
         if self.kind == MATRIX:
             return np.linalg.norm(value, 2, axis=(-2, -1))
         if self.kind == FUNCTIONS:
@@ -256,7 +272,6 @@ def stack_to_flat(algebra, data):
 def stack_from_flat(algebra, n, flat):
     """The matrix data of n-by-n matrices from their flat form, leading stack
     axes kept: the inverse of ``stack_to_flat``."""
-    flat = np.asarray(flat)
     if algebra.kind == MATRIX:
         k = algebra.k
         return flat.reshape(flat.shape[:-2] + (n, k, n, k)).swapaxes(-3, -2)
@@ -276,11 +291,46 @@ def random_stack(algebra, n, count, rng):
     return parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
 
 
+def _raise_singular(error, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _raise_unconverged(error, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def inv_stack(a):
+    """``np.linalg.inv(a)`` of a float64 or complex128 stack (..., n, n),
+    byte for byte and with its LinAlgError on a singular matrix, through
+    numpy's own gufunc without the Python checks of the public wrapper:
+    the stacked kernels call it on every re-split."""
+    char = a.dtype.char
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.inv(a, signature=f"{char}->{char}")
+
+
+def eig_stack(a):
+    """``np.linalg.eig(a)`` of a finite float64 or complex128 stack, byte
+    for byte and layout for layout, through numpy's own gufunc as
+    ``inv_stack`` does: (w, v), real views when a is real and every
+    eigenvalue of the stack is, complex otherwise."""
+    with np.errstate(call=_raise_unconverged, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        w, v = _umath_linalg.eig(a, signature=f"{a.dtype.char}->DD")
+    if a.dtype == np.float64 and not w.imag.any():
+        return w.real, v.real
+    return w, v
+
+
 def op_norms(entry_norms):
     """Operator norm on the l1-sum A^n from the entry norms of a matrix,
     (n, n), or of each matrix in a stack, (..., n, n): the max over columns
-    of the summed entry norms."""
-    return entry_norms.sum(axis=-2).max(axis=-1)
+    of the summed entry norms.  Even the no-refusal path of a re-split
+    (see ``stacked_logs``) calls it several times, so it goes to the two
+    ufunc reductions directly, with the bytes of
+    ``entry_norms.sum(axis=-2).max(axis=-1)``."""
+    return np.maximum.reduce(np.add.reduce(entry_norms, axis=-2), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +361,7 @@ class MatrixOverAlgebra:
     # -- constructors ------------------------------------------------------
     @classmethod
     def identity(cls, algebra, n):
-        return cls.diagonal(algebra, [algebra.unit_value()] * n)
+        return cls(algebra, algebra.identity_data(n))
 
     @classmethod
     def diagonal(cls, algebra, values):
@@ -541,9 +591,9 @@ def _expm(a):
     need no lock."""
     stack = a.reshape((-1,) + a.shape[-2:])
     band = (stack != 0).reshape(len(stack), -1) @ _band_columns(a.shape[-1])
-    generic = band[:, 0] & band[:, 1]
-    rows = np.flatnonzero(generic)
-    out = np.empty_like(stack)
+    generic = np.logical_and.reduce(band, axis=1)
+    rows = generic.nonzero()[0]
+    out = np.empty(stack.shape, dtype=stack.dtype)
     if len(rows) < len(stack):
         out[~generic] = scipy.linalg.expm(stack[~generic])
     squarings = []
@@ -576,6 +626,12 @@ def mat_exp(x):
     return GroupElement(mat, validate=False)
 
 
+def _frobenius(x):
+    """The Frobenius norm of each matrix of a stack (..., n, n): the bytes
+    of ``np.linalg.norm(x, axis=(-2, -1))``, with no Python in between."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
+
+
 def unitary_spectrum(m):
     """Eigen-decomposition of a unitary, or of each unitary in a stack along
     the leading axes, through its Schur form: returns (eigenvalues, angles,
@@ -590,8 +646,8 @@ def unitary_spectrum(m):
     t, z = scipy.linalg.schur(m, output="complex")
     d = np.diagonal(t, axis1=-2, axis2=-1)
     off = t - d[..., None] * np.eye(t.shape[-1])
-    size = np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))
-    diagonal = ~(np.linalg.norm(off, axis=(-2, -1)) > 1e-8 * size)
+    size = np.maximum(1.0, _frobenius(t))
+    diagonal = ~(_frobenius(off) > 1e-8 * size)
     theta = np.where(np.abs(d + 1.0) <= 1e-12, np.pi, np.angle(d))
     return d, theta, z, diagonal
 
@@ -607,15 +663,20 @@ def spectral(values, vecs):
 # The eigenvector condition number from which a non-unitary log leaves
 # V diag(log w) V^{-1}, whose error grows with cond(V) (Higham, Functions of
 # Matrices, SIAM 2008, ch. 4), for the inverse scaling and squaring of
-# scipy.linalg.logm: the rule is ``_eig_logs``'.
+# ``_schur_log``: the rule is ``_eig_logs``'.
 EIG_LOG_MAX_COND = 1e6
+
+# scipy's own singular rule for the inverse scaling and squaring log: a
+# Schur diagonal entry below it in modulus makes scipy warn
+# (``_matfuncs_inv_ssq._logm_force_nonsingular_triangular_matrix``)
+SCHUR_LOG_MIN_DIAGONAL = 1e-20
 
 
 def _eig_logs(stack, w, v):
     """Principal logs of a stack of plain square matrices, given their
     eigenvalues w, which avoid 0 and the closed negative real axis, and
     eigenvectors v: V diag(log w) V^{-1} where cond(V) < EIG_LOG_MAX_COND,
-    scipy's logm on the other slices.
+    ``_schur_log`` on the other slices.
 
     This is the one conditioning rule of a non-unitary log: cond(V) is the
     2-norm condition number ``np.linalg.cond`` gives, and the decision is
@@ -624,39 +685,75 @@ def _eig_logs(stack, w, v):
     stack, lies below half of EIG_LOG_MAX_COND is taken with no SVD: the
     factor 2 stands far above the rounding of both the bound and the SVD
     at that size.  ``np.linalg.cond`` judges the others, and the whole
-    stack when one V is singular."""
-    logs = np.empty(stack.shape, dtype=np.complex128)
+    stack when one V is singular.
+
+    The no-refusal path: when every V is well conditioned, the usual case,
+    the logs are one expression over the whole stack, with no gather or
+    scatter, and they are real when w and v are.  Otherwise they are
+    complex, and each slice keeps the bytes that path gives it."""
     by_eig, inverses = _well_conditioned(v)
-    logs[by_eig] = (v[by_eig] * np.log(w[by_eig])[:, None, :]) @ inverses
-    for i in np.flatnonzero(~by_eig):  # ill-conditioned or defective
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                logs[i] = scipy.linalg.logm(stack[i])
-        except Exception:
-            # logm overflowed inside: scipy then raises a ValueError or a bare
-            # Exception ("U is not upper triangular").  The slice is refused
-            # as a log that did not converge.
-            logs[i] = np.nan
+    if by_eig.all():
+        return (v * np.log(w)[:, None, :]) @ inverses
+    logs = np.empty(stack.shape, dtype=np.complex128)
+    logs[by_eig] = ((v[by_eig] * np.log(w[by_eig])[:, None, :])
+                    @ inverses[by_eig])
+    for i in (~by_eig).nonzero()[0].tolist():  # ill-conditioned or defective
+        logs[i] = _schur_log(stack[i])
     return logs
+
+
+def _schur_log(a):
+    """The principal log of one plain square matrix by scipy's inverse
+    scaling and squaring: ``scipy.linalg.logm`` with no accuracy estimate
+    (the round trip judges accuracy), or NaN, a log that did not converge.
+
+    The verdict does not depend on the warning filters: the slice is
+    refused before scipy's log is called when the triangular form that
+    ``_matfuncs_inv_ssq._logm`` takes (a itself when upper triangular,
+    else its complex Schur form, by the same calls) has a diagonal entry
+    below SCHUR_LOG_MIN_DIAGONAL in modulus, where scipy would warn; then
+    ``_logm`` and ``_maybe_real`` give the bytes ``logm`` returns."""
+    if np.array_equal(a, np.triu(a)):
+        diagonal = np.diag(a)
+    elif np.isrealobj(a):
+        t, z = scipy.linalg.schur(a)
+        if not np.array_equal(t, np.triu(t)):
+            t, z = scipy.linalg.rsf2csf(t, z)
+        diagonal = np.diag(t)
+    else:
+        diagonal = np.diag(scipy.linalg.schur(a, output="complex")[0])
+    if np.any(np.abs(diagonal) < SCHUR_LOG_MIN_DIAGONAL):
+        return np.nan
+    # imported here, as scipy's logm does: it loads scipy.special, several
+    # MB that a run with no ill-conditioned slice never needs
+    from scipy.linalg._matfuncs_inv_ssq import _logm
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _maybe_real(a, _logm(a))
+    except Exception:
+        # the log overflowed inside: scipy then raises a ValueError or a
+        # bare Exception ("U is not upper triangular")
+        return np.nan
 
 
 def _well_conditioned(v):
     """(by_eig, inverses): per V of a stack, whether
-    ``np.linalg.cond(V) < EIG_LOG_MAX_COND``, and V^{-1} of each V where it
-    holds, by the rule of ``_eig_logs``."""
+    ``np.linalg.cond(V) < EIG_LOG_MAX_COND``, by the rule of ``_eig_logs``,
+    and a stack that holds V^{-1} wherever it does."""
     try:
-        inverses = np.linalg.inv(v)
+        inverses = inv_stack(v)
     except np.linalg.LinAlgError:  # a singular V: every slice goes by SVD
         by_eig = np.linalg.cond(v) < EIG_LOG_MAX_COND
-        return by_eig, np.linalg.inv(v[by_eig])
+        inverses = np.zeros_like(v)
+        inverses[by_eig] = inv_stack(v[by_eig])
+        return by_eig, inverses
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = (np.linalg.norm(v, axis=(-2, -1))
-                 * np.linalg.norm(inverses, axis=(-2, -1)))
+        bound = _frobenius(v) * _frobenius(inverses)
     by_eig = bound < EIG_LOG_MAX_COND / 2
-    rest = ~by_eig
-    if rest.any():
+    if not by_eig.all():
+        rest = ~by_eig
         by_eig[rest] = np.linalg.cond(v[rest]) < EIG_LOG_MAX_COND
-    return by_eig, inverses[by_eig]
+    return by_eig, inverses
 
 
 def _unitary_logs(stack, per):
@@ -667,31 +764,38 @@ def _unitary_logs(stack, per):
     d, theta, z, diagonal = unitary_spectrum(stack)
     logs = spectral(np.log(np.abs(d)) + 1j * theta, z)
     return logs, {i: NumericFailureError(_NOT_DIAGONAL)
-                  for i in np.flatnonzero(~diagonal)}
+                  for i in (~diagonal).nonzero()[0].tolist()}
+
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _general_logs(stack, per):
     """Principal logs of slices, ``per`` to an element, and the refusal of
     each slice with 0 or a point of the closed negative real axis in its
     spectrum, by position.  Every slice of a refused element is left at 0.
-    0 is in it when |lambda| < max(1, |lambda|_max) / the largest float."""
-    w, v = np.linalg.eig(stack)
+    0 is in it when |lambda| < max(1, |lambda|_max) / the largest float.
+    A stack with no refused slice and one kind of spectrum, real or
+    complex, goes to ``_eig_logs`` whole, and its reasons are an empty
+    dict."""
+    w, v = eig_stack(stack)
     size = np.abs(w)
-    scale = np.maximum(1.0, size.max(axis=-1, keepdims=True))
-    singular = np.any(size < scale / np.finfo(np.float64).max, axis=-1)
-    on_cut = np.any((w.real <= 0) & (np.abs(w.imag) <= DEFAULT_TOL * scale),
-                    axis=-1)
-    refused = singular | on_cut
-    reasons = {i: SpectrumOnCutError(
-        "singular input: 0 is in the spectrum" if singular[i] else
-        "spectrum touches the negative real axis; principal log undefined")
-        for i in np.flatnonzero(refused)}
+    scale = np.maximum(1.0, np.maximum.reduce(size, axis=-1, keepdims=True))
+    singular = size < scale / _FLOAT_MAX
+    refused = singular | ((w.real <= 0)
+                          & (np.abs(w.imag) <= DEFAULT_TOL * scale))
     # eig makes a real stack complex once one slice has a complex
     # eigenvalue; a real spectrum keeps the real arithmetic that eig gives
     # it alone
-    mixed = np.isrealobj(stack) and np.iscomplexobj(w)
-    if not reasons and not mixed:
-        return _eig_logs(stack, w, v), reasons
+    mixed = stack.dtype == np.float64 and w.dtype == np.complex128
+    if not (mixed or refused.any()):
+        return _eig_logs(stack, w, v), {}
+    singular = np.logical_or.reduce(singular, axis=-1)
+    refused = np.logical_or.reduce(refused, axis=-1)
+    reasons = {i: SpectrumOnCutError(
+        "singular input: 0 is in the spectrum" if singular[i] else
+        "spectrum touches the negative real axis; principal log undefined")
+        for i in refused.nonzero()[0].tolist()}
     logs = np.zeros(stack.shape, dtype=np.complex128)
     dropped = refused.reshape(-1, per).any(axis=1)
     if dropped.all():
@@ -721,12 +825,18 @@ def _principal_logs(stack, unitary):
     axis.
     """
     count, per = stack.shape[:2]
-    finite = np.isfinite(stack).reshape(count, -1).all(axis=-1)
-    if not finite.all():
+    finite = np.isfinite(stack)
+    if finite.all():
+        verdicts = [None] * count
+    else:
+        finite = finite.reshape(count, -1).all(axis=-1)
         stack = np.where(_each(finite, stack), stack, np.eye(stack.shape[-1]))
+        verdicts = [None if ok else NumericFailureError("non-finite input")
+                    for ok in finite.tolist()]
     slices = stack.reshape((-1,) + stack.shape[-2:])
-    if all(unitary) or not any(unitary):
-        branch = _unitary_logs if unitary[0] else _general_logs
+    units = np.count_nonzero(unitary)
+    if units in (0, count):
+        branch = _unitary_logs if units else _general_logs
         logs, reasons = branch(slices, per)
     else:
         logs = np.zeros(slices.shape, dtype=np.complex128)
@@ -734,21 +844,21 @@ def _principal_logs(stack, unitary):
         unitary = np.asarray(unitary)
         for chosen, branch in ((unitary, _unitary_logs),
                                (~unitary, _general_logs)):
-            index = np.flatnonzero(np.repeat(chosen, per))
+            index = np.repeat(chosen, per).nonzero()[0]
             logs[index], part = branch(slices[index], per)
             reasons.update((index[i], error) for i, error in part.items())
-    if not np.isfinite(logs).all():
-        for i in np.flatnonzero(~np.isfinite(logs).all(axis=(-2, -1))):
+    finite = np.isfinite(logs)
+    if not finite.all():
+        for i in (~finite.all(axis=(-2, -1))).nonzero()[0].tolist():
             reasons.setdefault(i, NumericFailureError(
                 "matrix logarithm did not converge"))
-    verdicts = [None if ok else NumericFailureError("non-finite input")
-                for ok in finite.tolist()]
     for i in sorted(reasons):
         if verdicts[i // per] is None:
             verdicts[i // per] = reasons[i]
     logs = logs.reshape(stack.shape)
-    if stack.dtype == np.float64:
-        imag = np.abs(logs.imag).reshape(count, -1).max(axis=-1)
+    if stack.dtype == np.float64 and logs.dtype == np.complex128:
+        imag = np.maximum.reduce(np.abs(logs.imag).reshape(count, -1),
+                                 axis=-1)
         _refuse(verdicts, imag > 1e-9,
                 lambda t: SpectrumOnCutError(_NO_REAL_LOG))
         logs = logs.real
@@ -787,8 +897,8 @@ def mat_log(g):
 
 def _refuse(verdicts, failed, error):
     """Refuse, with ``error(t)``, each element t where ``failed`` holds and
-    that no earlier check refused."""
-    for t in np.flatnonzero(failed):
+    that no earlier check refused; nothing is done when nothing failed."""
+    for t in failed.nonzero()[0].tolist():
         if verdicts[t] is None:
             verdicts[t] = error(t)
 
@@ -804,20 +914,22 @@ def mat_exps(algebra, n, flats):
 
     Returns the exponentials in the same form (a non-finite one replaced by
     the identity), and per element None, or the error ``mat_exp`` raises on
-    that element.
+    that element.  The norms of the matrices and of their exponentials are
+    one ``op_norms`` call, each the bytes of its own.
     """
     count = len(flats)
     verdicts = [None] * count
     exps = _expm(flats)
-    finite = np.isfinite(exps).reshape(count, -1).all(axis=-1)
+    finite = np.isfinite(exps)
     if not finite.all():
+        finite = finite.reshape(count, -1).all(axis=-1)
         _refuse(verdicts, ~finite,
                 lambda t: NumericFailureError(_EXP_NOT_FINITE))
-        ident = MatrixOverAlgebra.identity(algebra, n).to_flat()
+        ident = stack_to_flat(algebra, algebra.identity_data(n))
         exps = np.where(_each(finite, exps), exps, ident)
-    norms = op_norms(algebra.norm(stack_from_flat(algebra, n, flats)))
-    exp_norms = op_norms(algebra.norm(stack_from_flat(algebra, n, exps)))
-    _refuse(verdicts, _exceeds_exp_bound(norms, exp_norms),
+    norms = op_norms(algebra.norm(stack_from_flat(
+        algebra, n, np.concatenate([flats, exps]))))
+    _refuse(verdicts, _exceeds_exp_bound(norms[:count], norms[count:]),
             lambda t: NumericFailureError(_EXP_ABOVE_BOUND))
     return exps, verdicts
 
@@ -835,18 +947,26 @@ def stacked_logs(algebra, n, flats, unitary):
     replaced by the identity, for ``round_trips`` to measure against (the
     matrix-kind norm of a NaN fails in svd).  Entries of a refused element
     mean nothing.
+
+    The path of a stack with no refused slice, finite entries and every
+    eigenvector matrix well conditioned (see ``_eig_logs``) builds no
+    matrix object, no reasons and no mask over the stack: its cost is the
+    eig, two inverses and a few whole-stack ufunc calls.
     """
     count = len(flats)
     if unitary:
         unit = np.ones(count, dtype=bool)
     else:
-        ident = MatrixOverAlgebra.identity(algebra, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = np.swapaxes(flats.conj(), -1, -2) @ flats
-            res = stack_from_flat(algebra, n, gram) - ident.data
-            unit = np.isfinite(res).reshape(count, -1).all(axis=-1)
-            res = np.where(_each(unit, res), res, 0.0)
-            unit &= op_norms(algebra.norm(res)) <= DEFAULT_TOL
+            gram = flats.conj().swapaxes(-1, -2) @ flats
+            res = stack_from_flat(algebra, n, gram) - algebra.identity_data(n)
+            finite = np.isfinite(res)
+            if finite.all():
+                unit = op_norms(algebra.norm(res)) <= DEFAULT_TOL
+            else:
+                unit = finite.reshape(count, -1).all(axis=-1)
+                res = np.where(_each(unit, res), res, 0.0)
+                unit &= op_norms(algebra.norm(res)) <= DEFAULT_TOL
     logs, verdicts, targets = _principal_logs(
         flats.reshape((count, -1) + flats.shape[-2:]), unit)
     return logs.reshape(flats.shape), verdicts, targets.reshape(flats.shape)
@@ -857,10 +977,13 @@ def round_trips(algebra, n, logs, targets):
     flat form, and the refusal of each log whose exponential misses its
     target g by more than 1e-9 (1 + |g|).  Returns (exps, verdicts) as
     ``mat_exps`` does."""
+    count = len(logs)
     exps, verdicts = mat_exps(algebra, n, logs)
     data = stack_from_flat(algebra, n, targets)
-    err = op_norms(algebra.norm(stack_from_flat(algebra, n, exps) - data))
-    _refuse(verdicts, _misses_round_trip(err, op_norms(algebra.norm(data))),
+    norms = op_norms(algebra.norm(np.concatenate([
+        stack_from_flat(algebra, n, exps) - data, data])))
+    err = norms[:count]
+    _refuse(verdicts, _misses_round_trip(err, norms[count:]),
             lambda t: _round_trip_error(err[t]))
     return exps, verdicts
 

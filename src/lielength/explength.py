@@ -31,6 +31,8 @@ from .algebra import (
     NumericFailureError,
     SpectrumOnCutError,
     in_order,
+    inv_stack,
+    is_integer,
     json_fields,
     mat_exp,
     mat_exps,
@@ -245,6 +247,17 @@ class EstimateBudget:
     trials: int = 6
     optimize: bool = True
 
+    def __post_init__(self):
+        """ValueError naming the field unless trials is an integer >= 1 and
+        restarts and iterations are integers >= 0: a sweep of no trials has
+        no stack to take its logs on."""
+        for name, least in (("restarts", 0), ("iterations", 0),
+                            ("trials", 1)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= least):
+                raise ValueError(f"EstimateBudget.{name} must be an integer "
+                                 f">= {least}, not {value!r}")
+
 
 def admissible_residual(target_norm):
     """The one residual rule of a certificate of a target of norm |g|: at
@@ -350,7 +363,8 @@ def _resplits(g, left, pair, step, count, rng):
             stack_to_flat(algebra, directions).conj(), -1, -2))
         directions = 0.5 * (directions - adjoint)
     norms = op_norms(algebra.norm(directions))
-    inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    moving = norms > 0
+    inverse = np.divide(1.0, norms, out=np.zeros(count), where=moving)
     steps = step * (inverse.reshape((count,) + (1,) * (directions.ndim - 1))
                     * directions)
     step_exps, step_failures = mat_exps(algebra, n,
@@ -360,7 +374,7 @@ def _resplits(g, left, pair, step, count, rng):
         rests = _inverses(mids) @ pair
     logs, verdicts, targets = stacked_logs(
         algebra, n, np.concatenate([mids, rests]), unitary)
-    trials = [t for t in np.flatnonzero(norms > 0).tolist()
+    trials = [t for t in moving.nonzero()[0].tolist()
               if step_failures[t] is None and verdicts[t] is None
               and verdicts[count + t] is None]
     return logs, targets, trials
@@ -370,12 +384,12 @@ def _inverses(flats):
     """The inverse of each matrix in a stack; NaN for an exactly singular
     one, whose log is refused, rather than an error for the whole stack."""
     try:
-        return np.linalg.inv(flats)
+        return inv_stack(flats)
     except np.linalg.LinAlgError:
         out = np.full(flats.shape, np.nan, dtype=flats.dtype)
         for index in np.ndindex(flats.shape[:-2]):
             try:
-                out[index] = np.linalg.inv(flats[index])
+                out[index] = inv_stack(flats[index])
             except np.linalg.LinAlgError:
                 pass
         return out
@@ -396,7 +410,8 @@ def _refine_factors(factors, g, objective, budget, rng):
     trip (``round_trips`` of its two logs) only once it shortens the
     objective; the first that also passes it wins, its logs become factors
     and its round-trip exponentials their exps, and the generator is put
-    back to just after its draw."""
+    back to just after its draw.  A factor a trial wins stays in flat form
+    until the sweep ends; a factor no trial replaced is returned as given."""
     best, best_val = list(factors), objective(factors)
     if len(best) < 2:
         return best, best_val
@@ -417,12 +432,12 @@ def _refine_factors(factors, g, objective, budget, rng):
                 if not values[t] < best_val - 1e-12:
                     continue
                 both = [t, count + t]
-                round_trip, verdicts = round_trips(algebra, n, logs[both],
+                pair = logs[both]
+                round_trip, verdicts = round_trips(algebra, n, pair,
                                                    targets[both])
                 if any(verdicts):  # an error is true, None is false
                     continue
-                best[i:i + 2] = [MatrixOverAlgebra.from_flat(algebra, n, y)
-                                 for y in logs[both]]
+                best[i:i + 2] = pair  # flat until the sweep ends
                 best_val, improved = float(values[t]), True
                 terms[i:i + 2] = trial_terms[both]
                 exps[i:i + 2] = round_trip
@@ -433,7 +448,9 @@ def _refine_factors(factors, g, objective, budget, rng):
             step *= 0.5
             if step < budget.min_step:
                 break
-    return best, best_val
+    return [x if isinstance(x, MatrixOverAlgebra)
+            else MatrixOverAlgebra.from_flat(algebra, n, x)
+            for x in best], best_val
 
 
 def _sum_norms(factors):

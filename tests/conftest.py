@@ -3,8 +3,9 @@
 criterion 3 measure the library rather than thread contention with other
 processes on the machine.  pytest loads this file before any test module
 imports numpy, which reads the variables when it is first imported.  The
-``logm_inputs`` fixture records the library's calls to scipy's ``logm``;
-every test starts with no element kept by ``explength``."""
+``logm_inputs`` fixture records the slices the library hands to its
+fallback log, ``algebra._schur_log``; every test starts with no element
+kept by ``explength``."""
 
 import importlib.util
 import os
@@ -33,17 +34,18 @@ def no_kept_element():
 
 @pytest.fixture
 def logm_inputs(monkeypatch):
-    """The matrices that ``lielength.algebra`` hands to scipy's ``logm`` (its
-    fallback for ill-conditioned slices) during a test, in call order."""
+    """The matrices that ``lielength.algebra`` hands to ``_schur_log`` (its
+    fallback for ill-conditioned slices, through scipy's log) during a
+    test, in call order."""
     import numpy as np
     from lielength import algebra
 
     inputs = []
-    logm = algebra.scipy.linalg.logm
+    log = algebra._schur_log
 
     def recorded(m):
         inputs.append(np.array(m))
-        return logm(m)
+        return log(m)
 
-    monkeypatch.setattr(algebra.scipy.linalg, "logm", recorded)
+    monkeypatch.setattr(algebra, "_schur_log", recorded)
     return inputs

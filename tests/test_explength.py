@@ -138,10 +138,10 @@ def test_el_exact_positive_diagonal_is_judged_at_scale(exponent, flip, kind):
                          ids=["R", "C"])
 def test_a_logm_overflow_is_a_refused_log(alg, logm_inputs):
     """On E12(m) = [[1, m], [0, 1]] at m >= 1e307 the search reaches scipy's
-    logm fallback, whose error estimate overflows.  That slice is refused
-    as a log that did not converge: at 1e307 the principal log still
-    certifies the upper bound m, and at 1e308 no factorization fits in the
-    float range."""
+    log fallback, whose log [[0, m], [0, 0]] has an exponential that
+    overflows.  That log is refused at its round trip: at 1e307 a
+    four-factor path still certifies the upper bound m, and at 1e308 no
+    factorization fits in the float range."""
     def unipotent(m):
         mat = ll.MatrixOverAlgebra(alg, np.array([[1.0, m], [0.0, 1.0]]))
         return ll.GroupElement(mat, validate=False)
@@ -370,6 +370,59 @@ def test_cli_samples_never_reach_the_logm_fallback(logm_inputs):
     gl2 = acceptance.random_gl(2, np.random.default_rng(3))
     ll.rel_estimate(gl2, seed=3)
     assert logm_inputs == []
+
+
+def test_a_nearly_singular_fallback_slice_is_refused_under_any_filter(
+        monkeypatch):
+    """el of [[1, 1e200], [0, 1]] over R reaches re-split trials whose
+    Schur diagonal holds an entry below 1e-20: scipy warns on them, so the
+    library refuses them before scipy's log.  The bracket, the certificate
+    bytes and the verdict of every ``stacked_logs`` call are the same under
+    the default and the error filters, and no warning is raised."""
+    mat = ll.MatrixOverAlgebra(ll.scalar_real(),
+                               np.array([[1.0, 1e200], [0.0, 1.0]]))
+    g = ll.GroupElement(mat, validate=False)
+    logs = explength.stacked_logs
+
+    def run(action):
+        verdicts = []
+
+        def recorded(*args):
+            out = logs(*args)
+            verdicts.extend(None if v is None else (type(v), str(v))
+                            for v in out[1])
+            return out
+
+        monkeypatch.setattr(explength, "stacked_logs", recorded)
+        explength._last_element = None
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action)
+            bracket = ll.el_estimate(g, seed=0)
+        assert seen == []
+        return (bracket.lower, bracket.upper,
+                [x.data.tobytes() for x in bracket.certificate.factors],
+                verdicts)
+
+    default = run("default")
+    assert default == run("error")
+    assert default[:2] == pytest.approx((math.log(1e200), 1e200), rel=1e-12)
+    assert (ll.NumericFailureError,
+            "matrix logarithm did not converge") in default[3]
+
+
+def test_a_budget_outside_its_range_is_refused():
+    """A budget of no trials, or of negative restarts or iterations, is a
+    ValueError that names the field; the least admitted values run."""
+    for field, value in (("trials", 0), ("restarts", -1), ("iterations", -1),
+                         ("trials", 1.5), ("trials", True)):
+        with pytest.raises(ValueError, match=f"EstimateBudget.{field} "):
+            ll.EstimateBudget(**{field: value})
+    g = acceptance.random_gl(2, np.random.default_rng(3))
+    least = ll.EstimateBudget(restarts=0, iterations=0, trials=1)
+    assert ll.el_estimate(g, budget=least).upper == ll.el_estimate(
+        g, budget=ll.EstimateBudget(optimize=False)).upper
+    ll.el_estimate(g, budget=ll.EstimateBudget(restarts=1, iterations=1,
+                                               trials=1))
 
 
 def test_estimate_outside_identity_component_raises():
